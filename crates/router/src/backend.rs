@@ -35,19 +35,6 @@ pub(crate) const DEAD_THRESHOLD: u32 = 3;
 /// Cap on the probe-backoff exponent (`probe_interval * 2^exp`).
 pub(crate) const MAX_BACKOFF_EXP: u32 = 6;
 
-/// Wire protocol spoken on one backend connection, settled by the `HELLO`
-/// handshake the router opens every connection with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Proto {
-    /// `HELLO` sent, answer pending; no sub-requests may be queued yet.
-    Negotiating,
-    /// v4: enveloped frames, replies correlate by request id (out-of-order
-    /// legal), per-sub-request expiry.
-    V4,
-    /// Legacy (≤ v3) backend: plain frames, strict FIFO reply order.
-    Fifo,
-}
-
 /// Breaker state of one backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Health {
@@ -61,16 +48,13 @@ pub enum Health {
     Dead,
 }
 
-/// One in-flight sub-request on a backend connection. On a legacy (FIFO)
-/// backend these sit in send order and the backend answers strictly in
-/// order; on a v4 backend they live in a map keyed by the wire request id
-/// and replies may land in any order.
+/// One in-flight sub-request on a backend connection. They live in a map
+/// keyed by the wire request id, and replies may land in any order.
 pub(crate) struct SubReq {
     /// Router request id this sub-request belongs to.
     pub req: u64,
-    /// Backstop deadline for the reply. On a FIFO backend a blown head
-    /// condemns the whole connection (FIFO matching cannot survive
-    /// skipping one reply); on a v4 backend only this sub-request fails.
+    /// Backstop deadline for the reply; when it blows, only this
+    /// sub-request fails.
     pub expires: Instant,
     /// When the sub-request was enqueued (latency samples, hedge timing).
     pub sent: Instant,
@@ -155,15 +139,13 @@ pub(crate) struct Backend {
     pub health: Health,
     /// Live connection, when one exists (`Standby`/`Healthy`).
     pub conn: Option<Conn>,
-    /// Negotiated wire protocol for the live connection.
-    pub proto: Proto,
-    /// Backstop for the `HELLO` answer while `Negotiating`.
+    /// Backstop for the `OK_HELLO` answer; set exactly while the `HELLO`
+    /// the router opened the connection with is unanswered, during which
+    /// no sub-request may be queued.
     pub hello_deadline: Option<Instant>,
-    /// In-flight sub-requests in send order (legacy FIFO backends).
-    pub fifo: VecDeque<SubReq>,
-    /// In-flight sub-requests keyed by wire request id (v4 backends).
+    /// In-flight sub-requests keyed by wire request id.
     pub inflight: HashMap<u64, SubReq>,
-    /// Next wire request id on a v4 connection.
+    /// Next wire request id.
     pub next_wire: u64,
     /// Completion-latency window feeding the adaptive hedge threshold.
     pub latency: LatencyWindow,
@@ -184,9 +166,7 @@ impl Backend {
             addr,
             health: Health::Probing,
             conn: None,
-            proto: Proto::Negotiating,
             hello_deadline: None,
-            fifo: VecDeque::new(),
             inflight: HashMap::new(),
             next_wire: 1,
             latency: LatencyWindow::default(),
@@ -205,10 +185,9 @@ impl Backend {
     /// Record a dial failure or a lost connection: drop the conn, bump the
     /// consecutive-failure count, demote to `Probing` (or `Dead` past the
     /// threshold), and schedule the next probe with exponential backoff.
-    /// The caller owns draining `fifo` *before* calling this.
+    /// The caller owns draining `inflight` *before* calling this.
     pub fn note_failure(&mut self, now: Instant, probe_interval: Duration) {
         self.conn = None;
-        self.proto = Proto::Negotiating;
         self.hello_deadline = None;
         self.rejoining = 0;
         self.failures = self.failures.saturating_add(1);

@@ -1,8 +1,9 @@
 //! Distributed solve tier: a sharded, replicated router in front of a
 //! fleet of `trisolv serve` backends.
 //!
-//! The router speaks the same protocol v3 as a single server — any
-//! existing client points at it unchanged — and shards *matrices* (not
+//! The router speaks the same wire protocol as a single server, through
+//! the same client-facing front end (`trisolv_server::frontend`) — any
+//! client points at it unchanged — and shards *matrices* (not
 //! connections) across backends with a consistent-hash ring keyed on the
 //! matrix fingerprint. Each factor is `LOAD`ed on `R` replicas; `SOLVE`s
 //! go to the first healthy replica and deterministically fail over to the

@@ -1,31 +1,24 @@
-//! The router proper: a protocol-v4 proxy event loop with consistent-hash
-//! placement, replication, deterministic failover, and hedged dispatch.
+//! The router proper: a proxy event loop with consistent-hash placement,
+//! replication, deterministic failover, and hedged dispatch.
 //!
-//! One loop thread owns every socket — the client-facing listener plus one
-//! outbound connection per backend — through the same [`poller`] /
-//! [`Conn`] machinery as the server front end (reused, not forked; the
-//! backend side uses [`Conn::enqueue`] for requests and the incremental
-//! frame parser for replies). There is no worker pool: proxying is cheap.
+//! One loop thread owns every socket. The client side is the server's own
+//! [`FrontEnd`] — accept, handshake, envelope verification, refusals and
+//! slow-peer cuts are its business, and what reaches this file is a list
+//! of admitted requests. The backend side is one outbound [`Conn`] per
+//! backend (requests through [`Conn::enqueue`], replies through the
+//! incremental frame parser). There is no worker pool: proxying is cheap.
 //!
-//! Every backend connection opens with a `HELLO` handshake. A v4 backend
-//! gets enveloped frames (64-bit wire request id + payload checksum
-//! trailer): replies correlate through a per-connection id map, may land
-//! out of order, and a hung reply expires *alone* instead of condemning
-//! the connection. A reply whose checksum fails is counted
-//! (`router_crc_rejects`) and dropped — its id is untrustworthy — and the
-//! sub-request runs into its own expiry. A reply that correlates to
-//! nothing (duplicate, or late after its sub expired) is counted
-//! (`router_orphan_replies`) and dropped; the connection keeps serving. A
-//! backend that answers the handshake with `ERR UnknownOpcode` is a
-//! legacy (≤ v3) peer: it keeps the plain framing and the strict-FIFO
-//! correlation, where a blown reply deadline still condemns the whole
-//! connection (FIFO matching cannot skip a reply).
-//!
-//! The same envelope is offered to clients: a client that opens with
-//! `HELLO` gets v4 framing end-to-end (ids echoed verbatim, checksummed
-//! both ways — a corrupt request is refused with `ERR Corrupt` and the
-//! connection survives); clients that skip the handshake keep the legacy
-//! protocol byte-for-byte.
+//! Every backend connection opens with the `HELLO` handshake; a backend
+//! that does not answer `OK_HELLO` with version 4 is a failed dial and goes
+//! back to the breaker. After it, sub-requests go out enveloped (64-bit
+//! wire request id + payload checksum trailer): replies correlate through
+//! a per-connection id map, may land out of order, and a hung reply
+//! expires *alone* instead of condemning the connection. A reply whose
+//! checksum fails is counted (`router_crc_rejects`) and dropped — its id
+//! is untrustworthy — and the sub-request runs into its own expiry. A
+//! reply that correlates to nothing (duplicate, or late after its sub
+//! expired) is counted (`router_orphan_replies`) and dropped; the
+//! connection keeps serving.
 //!
 //! Hedged SOLVE (DESIGN.md §18): once a forwarded SOLVE outlives an
 //! adaptive per-backend threshold — `max(`windowed p99 of that backend's
@@ -58,7 +51,7 @@
 //! instead of burning a backend on a doomed request. `retry_after_ms`
 //! hints survive the trip back verbatim.
 //!
-//! [`poller`]: trisolv_server::poller
+//! [`FrontEnd`]: trisolv_server::frontend::FrontEnd
 //! [`Conn`]: trisolv_server::conn::Conn
 //! [`Conn::enqueue`]: trisolv_server::conn::Conn::enqueue
 
@@ -72,14 +65,15 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use trisolv_server::conn::{Conn, FrameStep, Outcome, ReadStatus};
+use trisolv_server::frontend::{self, FrontEnd, FrontEndConfig, FrontStats};
 use trisolv_server::poller::{self, Interest, PollFd, Waker};
 use trisolv_server::protocol::{
-    encode_frame, err_payload, op, parse_err, unwrap_v4, v4_req_id_hint, wrap_v4, write_frame,
-    Builder, Cursor, ErrorCode, MAX_FRAME_LEN, PROTOCOL_VERSION,
+    encode_frame, encode_v4, err_payload, op, parse_err, unwrap_v4, Builder, Cursor, ErrorCode,
+    PROTOCOL_VERSION,
 };
-use trisolv_server::Fingerprint;
+use trisolv_server::{FaultPlan, Fingerprint};
 
-use crate::backend::{Backend, Proto, Retained, SubReq};
+use crate::backend::{Backend, Retained, SubReq};
 use crate::ring::Ring;
 
 /// Router configuration.
@@ -146,8 +140,17 @@ struct Shared {
     rejoins: AtomicU64,
     hedges_sent: AtomicU64,
     hedge_wins: AtomicU64,
+    /// Backend replies that failed their checksum.
     crc_rejects: AtomicU64,
     orphan_replies: AtomicU64,
+    /// The client-facing front end's counters.
+    front: Arc<FrontStats>,
+}
+
+impl Shared {
+    fn crc_rejects(&self) -> u64 {
+        self.crc_rejects.load(Ordering::Acquire) + self.front.crc_rejects.load(Ordering::Acquire)
+    }
 }
 
 /// Handle to a spawned router; dropping it shuts the router down.
@@ -188,6 +191,7 @@ impl Router {
             hedge_wins: AtomicU64::new(0),
             crc_rejects: AtomicU64::new(0),
             orphan_replies: AtomicU64::new(0),
+            front: Arc::default(),
         });
         let (dial_tx, dial_rx) = mpsc::channel::<Dial>();
         let dials = Arc::new(DialQueue {
@@ -212,8 +216,19 @@ impl Router {
             .map(|a| Backend::new(a.clone(), now))
             .collect();
         let retained = Retained::new(opts.retained_budget);
-        let lp = RouterLoop {
+        let front = FrontEnd::new(
             listener,
+            FrontEndConfig {
+                io_timeout: opts.io_timeout,
+                max_conns: opts.max_conns,
+                max_pipeline: opts.max_pipeline,
+                busy_retry_ms: retry_hint_ms(opts.probe_interval),
+                fault: FaultPlan::none(),
+            },
+            Arc::clone(&shared.front),
+        );
+        let lp = RouterLoop {
+            front,
             wake_rx,
             dial_tx,
             dials,
@@ -221,13 +236,10 @@ impl Router {
             shared: Arc::clone(&shared),
             opts,
             ring,
-            clients: HashMap::new(),
-            next_client: 0,
             backends,
             requests: HashMap::new(),
             next_req: 0,
             retained,
-            touched: Vec::new(),
             solve_subs_sent: 0,
         };
         threads.push(
@@ -272,9 +284,9 @@ impl RunningRouter {
     }
 
     /// Frames rejected for a payload-checksum mismatch (corrupt backend
-    /// replies and corrupt v4 client requests).
+    /// replies and corrupt client requests).
     pub fn crc_rejects(&self) -> u64 {
-        self.shared.crc_rejects.load(Ordering::Acquire)
+        self.shared.crc_rejects()
     }
 
     /// Backend replies that correlated to nothing (duplicates, or replies
@@ -430,12 +442,17 @@ enum Kind {
     Rejoin { backend: usize },
 }
 
-struct Request {
+/// Where a request's reply goes.
+#[derive(Clone, Copy)]
+struct Origin {
+    /// The front end's connection id ([`INTERNAL`] for rejoin replays).
     client: u64,
-    seq: u64,
-    /// The client's wire request id, echoed in the reply envelope when the
-    /// client negotiated v4 (`None` on legacy client connections).
-    cwire: Option<u64>,
+    /// The client's wire request id, echoed in the reply envelope.
+    cwire: u64,
+}
+
+struct Request {
+    origin: Origin,
     kind: Kind,
 }
 
@@ -445,7 +462,7 @@ enum Step {
     /// Fan-out still has outstanding sub-requests.
     Pending,
     /// The request is complete: answer the client with this reply
-    /// (opcode, payload) — enveloped at the edge if the client is v4.
+    /// (opcode, payload).
     Reply(u8, Vec<u8>),
     /// Solve failover: try the next replica.
     Retry,
@@ -461,13 +478,8 @@ enum Step {
 // Event loop
 // ---------------------------------------------------------------------------
 
-enum Token {
-    Client(u64),
-    Backend(usize),
-}
-
 struct RouterLoop {
-    listener: TcpListener,
+    front: FrontEnd,
     wake_rx: TcpStream,
     dial_tx: Sender<Dial>,
     dials: Arc<DialQueue>,
@@ -475,15 +487,10 @@ struct RouterLoop {
     shared: Arc<Shared>,
     opts: RouterOptions,
     ring: Ring,
-    clients: HashMap<u64, Conn>,
-    next_client: u64,
     backends: Vec<Backend>,
     requests: HashMap<u64, Request>,
     next_req: u64,
     retained: Retained,
-    /// Clients whose reply state changed off the socket-readiness path
-    /// (backend replies, failures); they need a write/extract pass.
-    touched: Vec<u64>,
     /// SOLVE sub-requests dispatched (hedges included); the denominator of
     /// the hedge budget.
     solve_subs_sent: u64,
@@ -491,35 +498,40 @@ struct RouterLoop {
 
 fn router_loop(mut lp: RouterLoop) {
     let mut fds: Vec<PollFd> = Vec::new();
-    let mut tokens: Vec<Token> = Vec::new();
+    let mut polled_backends: Vec<usize> = Vec::new();
+    let mut admitted: Vec<frontend::Request> = Vec::new();
     loop {
         let now = Instant::now();
         for d in lp.dials.drain() {
             lp.on_dial_done(d, now);
         }
         if lp.shutdown.load(Ordering::SeqCst) {
-            lp.drain_and_exit();
+            // Requests still waiting on backends are abandoned — their
+            // clients see the close and retry elsewhere — and buffered
+            // replies (the `OK_BYE` in particular) get a bounded grace to
+            // flush before everything closes.
+            for req in lp.requests.values() {
+                lp.front.finish(req.origin.client, Outcome::CloseSilent);
+            }
+            let deadline = now + Duration::from_millis(500);
+            while lp.front.flush_lap() && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(2));
+            }
             return;
         }
         lp.check_backend_timeouts(now);
         lp.check_hedges(now);
         lp.start_due_dials(now);
-        lp.flush_touched();
+        // Clients whose requests resolved since the last lap (backend
+        // replies, failures) get their write/admit pass here.
+        lp.front.resume(&mut admitted);
+        lp.dispatch_admitted(&mut admitted, now);
 
+        // Poll set: the waker, the backend connections, then the front
+        // end's listener and client connections.
         fds.clear();
-        tokens.clear();
-        fds.push(PollFd::new(poller::fd_of(&lp.listener), Interest::read()));
+        polled_backends.clear();
         fds.push(PollFd::new(poller::fd_of(&lp.wake_rx), Interest::read()));
-        for (&id, conn) in lp.clients.iter() {
-            fds.push(PollFd::new(
-                poller::fd_of(&conn.stream),
-                Interest {
-                    readable: conn.wants_read(lp.opts.max_pipeline),
-                    writable: conn.wants_write(),
-                },
-            ));
-            tokens.push(Token::Client(id));
-        }
         for (i, b) in lp.backends.iter().enumerate() {
             if let Some(conn) = &b.conn {
                 fds.push(PollFd::new(
@@ -529,48 +541,40 @@ fn router_loop(mut lp: RouterLoop) {
                         writable: conn.wants_write(),
                     },
                 ));
-                tokens.push(Token::Backend(i));
+                polled_backends.push(i);
             }
         }
+        let front_at = fds.len();
+        lp.front.push_poll_fds(now, &mut fds);
 
-        let timeout = lp.nearest_deadline();
+        let timeout = lp
+            .nearest_deadline()
+            .map(|t| t.saturating_duration_since(now));
         if poller::wait(&mut fds, timeout).is_err() {
             std::thread::sleep(Duration::from_millis(1));
             continue;
         }
-        if fds[1].ready.readable || fds[1].ready.hangup {
+        if fds[0].ready.readable || fds[0].ready.hangup {
             poller::drain(&mut lp.wake_rx);
         }
-        if fds[0].ready.readable {
-            lp.accept_ready();
-        }
         let now = Instant::now();
-        for (k, tok) in tokens.iter().enumerate() {
-            let ready = fds[k + 2].ready;
-            match *tok {
-                Token::Backend(b) => lp.service_backend(b, ready, now),
-                Token::Client(id) => lp.service_client(id, ready, now),
-            }
+        for (&b, fd) in polled_backends.iter().zip(&fds[1..front_at]) {
+            lp.service_backend(b, fd.ready, now);
         }
-        lp.flush_touched();
+        lp.front.service(&fds[front_at..], now, &mut admitted);
+        lp.dispatch_admitted(&mut admitted, now);
     }
 }
 
 impl RouterLoop {
     // -- time-driven maintenance --------------------------------------------
 
-    /// Reply-deadline sweep. On a legacy (FIFO) backend a blown head
-    /// condemns the whole connection — FIFO correlation cannot skip a
-    /// reply. On a v4 backend each expired sub-request fails *alone* (the
-    /// id map correlates whatever else still arrives), and only a stuck
-    /// write or a hung `HELLO` answer condemns the connection.
+    /// Reply-deadline sweep. Each expired sub-request fails *alone* (the
+    /// id map correlates whatever else still arrives); only a stuck write
+    /// or a hung `HELLO` answer condemns the connection.
     fn check_backend_timeouts(&mut self, now: Instant) {
         for b in 0..self.backends.len() {
-            let condemned = self.backends[b]
-                .fifo
-                .front()
-                .is_some_and(|h| now >= h.expires)
-                || self.backends[b].hello_deadline.is_some_and(|d| now >= d)
+            let condemned = self.backends[b].hello_deadline.is_some_and(|d| now >= d)
                 || self.backends[b]
                     .conn
                     .as_ref()
@@ -585,10 +589,9 @@ impl RouterLoop {
                 .filter(|(_, s)| now >= s.expires)
                 .map(|(&w, _)| w)
                 .collect();
-            let hint = self.retry_hint_ms();
             for wire in expired {
                 if let Some(sub) = self.backends[b].inflight.remove(&wire) {
-                    self.fail_sub(b, sub, now, hint);
+                    self.fail_sub(b, sub, now);
                 }
             }
         }
@@ -607,7 +610,7 @@ impl RouterLoop {
         let mut due: Vec<u64> = Vec::new();
         for b in &mut self.backends {
             let thr = b.latency.p99().max(floor);
-            for sub in b.inflight.values_mut().chain(b.fifo.iter_mut()) {
+            for sub in b.inflight.values_mut() {
                 if sub.hedge_eligible && now >= sub.sent + thr {
                     sub.hedge_eligible = false;
                     due.push(sub.req);
@@ -641,31 +644,25 @@ impl RouterLoop {
         }
     }
 
-    fn nearest_deadline(&self) -> Option<Duration> {
-        let now = Instant::now();
-        let mut best: Option<Instant> = None;
+    fn nearest_deadline(&self) -> Option<Instant> {
+        let mut best: Option<Instant> = self.front.nearest_deadline();
         let mut consider = |t: Option<Instant>| {
             if let Some(t) = t {
                 best = Some(best.map_or(t, |b: Instant| b.min(t)));
             }
         };
-        for conn in self.clients.values() {
-            consider(conn.read_deadline);
-            consider(conn.write_deadline);
-        }
         let hedging = self.hedging_enabled();
         let floor = self.opts.hedge_after;
         for b in &self.backends {
             if let Some(conn) = &b.conn {
                 consider(conn.write_deadline);
                 consider(b.hello_deadline);
-                consider(b.fifo.front().map(|h| h.expires));
                 let thr = if hedging {
                     Some(b.latency.p99().max(floor))
                 } else {
                     None
                 };
-                for sub in b.inflight.values().chain(b.fifo.iter()) {
+                for sub in b.inflight.values() {
                     consider(Some(sub.expires));
                     if let Some(thr) = thr {
                         if sub.hedge_eligible {
@@ -677,7 +674,7 @@ impl RouterLoop {
                 consider(Some(b.next_probe));
             }
         }
-        best.map(|t| t.saturating_duration_since(now))
+        best
     }
 
     fn set_healthy_gauge(&self) {
@@ -699,16 +696,14 @@ impl RouterLoop {
                     return;
                 }
                 let mut conn = Conn::new(stream);
-                // Version negotiation opens every backend connection; the
-                // rejoin replays queue only once the answer settles the
-                // framing (they must be enveloped iff the peer is v4).
+                // The handshake opens every backend connection; the
+                // rejoin replays queue only once it is answered.
                 conn.enqueue(&encode_frame(
                     op::HELLO,
                     &Builder::new().u16(PROTOCOL_VERSION).build(),
                 ));
                 self.backends[d.idx].conn = Some(conn);
                 self.backends[d.idx].note_connected();
-                self.backends[d.idx].proto = Proto::Negotiating;
                 self.backends[d.idx].hello_deadline =
                     Some(now + self.opts.io_timeout.max(Duration::from_secs(1)));
                 self.shared.rejoins.fetch_add(1, Ordering::Relaxed);
@@ -716,34 +711,16 @@ impl RouterLoop {
         }
     }
 
-    /// The `HELLO` answer landed: settle the connection's framing, then
-    /// queue the warm-standby replays (re-LOAD every retained factor the
-    /// ring places on this backend) before it takes new traffic.
-    fn finish_negotiation(&mut self, b: usize, opcode: u8, payload: &[u8], now: Instant) {
-        let proto = match opcode {
-            op::OK_HELLO => match Cursor::new(payload).u16() {
-                Ok(theirs) if theirs >= 4 => Proto::V4,
-                Ok(_) => Proto::Fifo,
-                Err(_) => {
-                    self.backend_failure(b, now);
-                    return;
-                }
-            },
-            // A pre-v4 backend does not know HELLO; the refusal leaves its
-            // connection open and IS the downgrade signal.
-            op::ERR => match parse_err(payload) {
-                Ok((Some(ErrorCode::UnknownOpcode), _, _)) => Proto::Fifo,
-                _ => {
-                    self.backend_failure(b, now);
-                    return;
-                }
-            },
-            _ => {
-                self.backend_failure(b, now);
-                return;
-            }
-        };
-        self.backends[b].proto = proto;
+    /// The `HELLO` answer landed. Anything but `OK_HELLO` agreeing on our
+    /// version (`agreed`) is a peer the router cannot talk to — a failed
+    /// dial, back to the breaker. Otherwise queue the warm-standby replays (re-LOAD
+    /// every retained factor the ring places on this backend) before it
+    /// takes new traffic.
+    fn finish_negotiation(&mut self, b: usize, agreed: bool, now: Instant) {
+        if !agreed {
+            self.backend_failure(b, now);
+            return;
+        }
         self.backends[b].hello_deadline = None;
         let replays: Vec<Vec<u8>> = self
             .retained
@@ -754,9 +731,10 @@ impl RouterLoop {
         let expires = now + self.sub_request_backstop();
         for payload in replays {
             let rid = self.new_request(Request {
-                client: INTERNAL,
-                seq: 0,
-                cwire: None,
+                origin: Origin {
+                    client: INTERNAL,
+                    cwire: 0,
+                },
                 kind: Kind::Rejoin { backend: b },
             });
             self.backends[b].rejoining += 1;
@@ -776,12 +754,6 @@ impl RouterLoop {
             .max(Duration::from_secs(1))
     }
 
-    /// Hint handed to clients when no replica is reachable: roughly one
-    /// probe cycle out.
-    fn retry_hint_ms(&self) -> u64 {
-        (self.opts.probe_interval.as_millis() as u64).max(1) * 2
-    }
-
     // -- backend I/O ---------------------------------------------------------
 
     fn send_sub(&mut self, b: usize, opcode: u8, payload: &[u8], sub: SubReq) {
@@ -792,15 +764,10 @@ impl RouterLoop {
         let Some(conn) = backend.conn.as_mut() else {
             return;
         };
-        if backend.proto == Proto::V4 {
-            let wire = backend.next_wire;
-            backend.next_wire += 1;
-            conn.enqueue(&encode_frame(opcode, &wrap_v4(opcode, wire, payload)));
-            backend.inflight.insert(wire, sub);
-        } else {
-            conn.enqueue(&encode_frame(opcode, payload));
-            backend.fifo.push_back(sub);
-        }
+        let wire = backend.next_wire;
+        backend.next_wire += 1;
+        conn.enqueue(&encode_v4(opcode, wire, payload));
+        backend.inflight.insert(wire, sub);
     }
 
     fn service_backend(&mut self, b: usize, ready: poller::Readiness, now: Instant) {
@@ -819,20 +786,35 @@ impl RouterLoop {
                 }
             };
             loop {
-                let step = {
-                    let Some(conn) = self.backends[b].conn.as_mut() else {
-                        return;
-                    };
-                    conn.next_frame()
+                let negotiating = self.backends[b].hello_deadline.is_some();
+                let Some(conn) = self.backends[b].conn.as_mut() else {
+                    return;
                 };
-                match step {
+                // Verify in the read buffer, copy the inner payload once.
+                let (opcode, reply) = match conn.next_frame() {
                     FrameStep::Incomplete => break,
                     FrameStep::BadLength(_) => {
                         self.backend_failure(b, now);
                         return;
                     }
-                    FrameStep::Frame { opcode, payload } => {
-                        self.handle_backend_reply(b, opcode, payload, now);
+                    FrameStep::Frame { opcode, payload } if negotiating => {
+                        let agreed = opcode == op::OK_HELLO
+                            && Cursor::new(payload).u16() == Ok(PROTOCOL_VERSION);
+                        self.finish_negotiation(b, agreed, now);
+                        continue;
+                    }
+                    FrameStep::Frame { opcode, payload } => (
+                        opcode,
+                        unwrap_v4(opcode, payload).map(|(wire, inner)| (wire, inner.to_vec())),
+                    ),
+                };
+                match reply {
+                    Ok((wire, payload)) => self.handle_backend_reply(b, wire, opcode, payload, now),
+                    // Corrupt frame: the id field cannot be trusted, so
+                    // count and drop. The owning sub-request runs into its
+                    // own expiry.
+                    Err(_) => {
+                        self.shared.crc_rejects.fetch_add(1, Ordering::Relaxed);
                     }
                 }
             }
@@ -855,50 +837,21 @@ impl RouterLoop {
         }
     }
 
-    fn handle_backend_reply(&mut self, b: usize, opcode: u8, payload: Vec<u8>, now: Instant) {
-        if self.backends[b].proto == Proto::Negotiating {
-            self.finish_negotiation(b, opcode, &payload, now);
+    fn handle_backend_reply(
+        &mut self,
+        b: usize,
+        wire: u64,
+        opcode: u8,
+        payload: Vec<u8>,
+        now: Instant,
+    ) {
+        let Some(sub) = self.backends[b].inflight.remove(&wire) else {
+            // Duplicate, or late after its sub-request expired: correlates
+            // to nothing. Ids never reuse, so dropping it is safe and the
+            // connection keeps serving — condemning it here would turn one
+            // stray frame into a full teardown and a rejoin storm.
+            self.shared.orphan_replies.fetch_add(1, Ordering::Relaxed);
             return;
-        }
-        let (sub, payload) = if self.backends[b].proto == Proto::V4 {
-            match unwrap_v4(opcode, &payload) {
-                Ok((wire, inner)) => {
-                    let inner = inner.to_vec();
-                    match self.backends[b].inflight.remove(&wire) {
-                        Some(sub) => (sub, inner),
-                        None => {
-                            // Duplicate, or late after its sub-request
-                            // expired: correlates to nothing. Ids never
-                            // reuse, so dropping it is safe and the
-                            // connection keeps serving.
-                            self.shared.orphan_replies.fetch_add(1, Ordering::Relaxed);
-                            return;
-                        }
-                    }
-                }
-                Err(_) => {
-                    // Corrupt frame (or a legacy-encoded close-path ERR):
-                    // the id field cannot be trusted, so count and drop.
-                    // The owning sub-request runs into its own expiry; if
-                    // the connection is really dying, the EOF that follows
-                    // a close-path ERR tears it down.
-                    self.shared.crc_rejects.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-            }
-        } else {
-            match self.backends[b].fifo.pop_front() {
-                Some(sub) => (sub, payload),
-                None => {
-                    // A reply with nothing in flight: a duplicate, or one
-                    // that arrived after a condemnation already drained the
-                    // FIFO. Count it and drop it — condemning the
-                    // connection here (as the router once did) turns one
-                    // stray frame into a full teardown and a rejoin storm.
-                    self.shared.orphan_replies.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-            }
         };
         // The adaptive hedge threshold learns from replies that *served* a
         // request, and only from un-hedged SOLVEs. Hedge arms are born
@@ -929,15 +882,9 @@ impl RouterLoop {
                             Step::Reply(op::OK_SOLVED, payload)
                         }
                         op::ERR => {
-                            let parsed = parse_err(&payload).unwrap_or_else(|e| {
-                                (
-                                    Some(ErrorCode::Internal),
-                                    format!("undecodable backend error: {e}"),
-                                    None,
-                                )
-                            });
-                            let code = parsed.0.unwrap_or(ErrorCode::Internal);
-                            *last_err = Some((code, parsed.1, parsed.2));
+                            let err = backend_err(&payload);
+                            let code = err.0;
+                            *last_err = Some(err);
                             match code {
                                 // Transient-at-this-replica: shed under
                                 // load, a stale rejoin, or a backend-side
@@ -977,17 +924,7 @@ impl RouterLoop {
                     match opcode {
                         op::OK_LOADED if reply.is_none() => *reply = Some(payload),
                         op::OK_LOADED => {}
-                        op::ERR => {
-                            let parsed = parse_err(&payload).unwrap_or_else(|e| {
-                                (
-                                    Some(ErrorCode::Internal),
-                                    format!("undecodable backend error: {e}"),
-                                    None,
-                                )
-                            });
-                            *last_err =
-                                Some((parsed.0.unwrap_or(ErrorCode::Internal), parsed.1, parsed.2));
-                        }
+                        op::ERR => *last_err = Some(backend_err(&payload)),
                         _ => {
                             *last_err = Some((
                                 ErrorCode::Internal,
@@ -1050,7 +987,7 @@ impl RouterLoop {
             Step::Pending => {}
             Step::Reply(opcode, payload) => {
                 if let Some(req) = self.requests.remove(&rid) {
-                    self.finish_client(req.client, req.seq, req.cwire, opcode, &payload, false);
+                    self.finish_client(req.origin, opcode, &payload);
                 }
             }
             Step::Retry => {
@@ -1060,14 +997,7 @@ impl RouterLoop {
             Step::StatsDone(acc) => {
                 let payload = self.stats_reply_payload(&acc);
                 if let Some(req) = self.requests.remove(&rid) {
-                    self.finish_client(
-                        req.client,
-                        req.seq,
-                        req.cwire,
-                        op::OK_STATS,
-                        &payload,
-                        false,
-                    );
+                    self.finish_client(req.origin, op::OK_STATS, &payload);
                 }
             }
             Step::Rejoined(b) => {
@@ -1080,25 +1010,23 @@ impl RouterLoop {
     }
 
     /// Tear down a backend connection: every in-flight sub-request on it
-    /// (FIFO and id-correlated alike) fails over (solves) or counts
-    /// against its fan-out (everything else), and the breaker schedules a
-    /// reconnect probe.
+    /// fails over (solves) or counts against its fan-out (everything
+    /// else), and the breaker schedules a reconnect probe.
     fn backend_failure(&mut self, b: usize, now: Instant) {
-        let mut drained: Vec<SubReq> = self.backends[b].fifo.drain(..).collect();
-        drained.extend(self.backends[b].inflight.drain().map(|(_, s)| s));
+        let drained: Vec<SubReq> = self.backends[b].inflight.drain().map(|(_, s)| s).collect();
         self.backends[b].note_failure(now, self.opts.probe_interval);
         self.set_healthy_gauge();
-        let hint = self.retry_hint_ms();
         for sub in drained {
-            self.fail_sub(b, sub, now, hint);
+            self.fail_sub(b, sub, now);
         }
     }
 
-    /// Resolve one failed sub-request — expired individually on a v4
-    /// backend, or drained from a torn-down connection — against its
-    /// request. A hedged SOLVE with another arm still running stays
-    /// pending; failover happens only once every arm has resolved.
-    fn fail_sub(&mut self, b: usize, sub: SubReq, now: Instant, hint: u64) {
+    /// Resolve one failed sub-request — expired individually, or drained
+    /// from a torn-down connection — against its request. A hedged SOLVE
+    /// with another arm still running stays pending; failover happens only
+    /// once every arm has resolved.
+    fn fail_sub(&mut self, b: usize, sub: SubReq, now: Instant) {
+        let hint = retry_hint_ms(self.opts.probe_interval);
         let rid = sub.req;
         let step = {
             let Some(req) = self.requests.get_mut(&rid) else {
@@ -1181,7 +1109,7 @@ impl RouterLoop {
             let Some(req) = self.requests.get_mut(&rid) else {
                 return;
             };
-            if req.client != INTERNAL && !self.clients.contains_key(&req.client) {
+            if !self.front.is_open(req.origin.client) {
                 Action::Gone
             } else {
                 let Kind::Solve {
@@ -1234,7 +1162,7 @@ impl RouterLoop {
                         None => Action::Fail(last_err.clone().unwrap_or((
                             ErrorCode::Busy,
                             "no healthy replica for fingerprint".into(),
-                            Some(self.retry_hint_ms()),
+                            Some(retry_hint_ms(self.opts.probe_interval)),
                         ))),
                     }
                 }
@@ -1246,14 +1174,7 @@ impl RouterLoop {
             }
             Action::Fail((code, msg, hint)) => {
                 if let Some(req) = self.requests.remove(&rid) {
-                    self.finish_client(
-                        req.client,
-                        req.seq,
-                        req.cwire,
-                        op::ERR,
-                        &err_payload(code, &msg, hint),
-                        false,
-                    );
+                    self.reply_err(req.origin, code, &msg, hint);
                 }
             }
             Action::Send {
@@ -1347,243 +1268,11 @@ impl RouterLoop {
 
     // -- client I/O ----------------------------------------------------------
 
-    fn accept_ready(&mut self) {
-        loop {
-            let stream = match self.listener.accept() {
-                Ok((stream, _)) => stream,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(_) => return,
-            };
-            if self.opts.max_conns != 0 && self.clients.len() >= self.opts.max_conns {
-                let mut stream = stream;
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                let _ = stream.set_nodelay(true);
-                let _ = write_frame(
-                    &mut stream,
-                    op::ERR,
-                    &err_payload(
-                        ErrorCode::Busy,
-                        "router connection limit reached",
-                        Some(self.retry_hint_ms()),
-                    ),
-                );
-                continue;
-            }
-            if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-                continue;
-            }
-            let id = self.next_client;
-            self.next_client += 1;
-            self.clients.insert(id, Conn::new(stream));
-        }
-    }
-
-    fn service_client(&mut self, id: u64, ready: poller::Readiness, now: Instant) {
-        let mut close = false;
-        if ready.readable || ready.hangup {
-            let status = {
-                let Some(conn) = self.clients.get_mut(&id) else {
-                    return;
-                };
-                conn.read_some()
-            };
-            match status {
-                Err(_) => close = true,
-                Ok(st) => {
-                    self.extract_client_frames(id, now);
-                    if st == ReadStatus::Eof {
-                        if let Some(conn) = self.clients.get_mut(&id) {
-                            conn.close_input();
-                        }
-                    }
-                }
-            }
-        }
-        let Some(conn) = self.clients.get_mut(&id) else {
-            return;
-        };
-        if !close && (ready.writable || conn.wants_write()) {
-            close = conn.try_write(self.opts.io_timeout).is_err();
-        }
-        if !close {
-            if conn.read_deadline.is_some_and(|d| now >= d) {
-                conn.fail_and_close(encode_frame(
-                    op::ERR,
-                    &err_payload(ErrorCode::Timeout, "slow peer: frame stalled", None),
-                ));
-                let _ = conn.try_write(self.opts.io_timeout);
-            }
-            if conn.write_deadline.is_some_and(|d| now >= d) {
-                close = true;
-            }
-        }
-        if close || conn.finished() {
-            self.clients.remove(&id);
-        }
-    }
-
-    fn extract_client_frames(&mut self, id: u64, now: Instant) {
-        let mut extracted = false;
-        loop {
-            let step = {
-                let Some(conn) = self.clients.get_mut(&id) else {
-                    return;
-                };
-                if !conn.can_extract(self.opts.max_pipeline) {
-                    break;
-                }
-                conn.next_frame()
-            };
-            match step {
-                FrameStep::Incomplete => break,
-                FrameStep::BadLength(len) => {
-                    let code = if len > MAX_FRAME_LEN {
-                        ErrorCode::TooLarge
-                    } else {
-                        ErrorCode::Malformed
-                    };
-                    if let Some(conn) = self.clients.get_mut(&id) {
-                        conn.fail_and_close(encode_frame(
-                            op::ERR,
-                            &err_payload(code, &format!("bad frame length {len}"), None),
-                        ));
-                    }
-                    break;
-                }
-                FrameStep::Frame { opcode, payload } => {
-                    extracted = true;
-                    let (is_v4, begun) = {
-                        let Some(conn) = self.clients.get_mut(&id) else {
-                            return;
-                        };
-                        (conn.is_v4(), conn.requests_begun())
-                    };
-                    // Version negotiation: first frame only, answered
-                    // inline (it must settle the framing before any
-                    // pipelined request is parsed).
-                    if opcode == op::HELLO && !is_v4 && begun == 0 {
-                        let reply = match Cursor::new(&payload).u16() {
-                            Ok(theirs) => {
-                                let negotiated = theirs.min(PROTOCOL_VERSION);
-                                if negotiated >= 4 {
-                                    if let Some(conn) = self.clients.get_mut(&id) {
-                                        conn.set_v4();
-                                    }
-                                }
-                                encode_frame(op::OK_HELLO, &Builder::new().u16(negotiated).build())
-                            }
-                            Err(msg) => encode_frame(
-                                op::ERR,
-                                &err_payload(ErrorCode::Malformed, &msg, None),
-                            ),
-                        };
-                        if let Some(conn) = self.clients.get_mut(&id) {
-                            conn.enqueue(&reply);
-                        }
-                        continue;
-                    }
-                    let mut payload = payload;
-                    let mut cwire = None;
-                    if is_v4 {
-                        match unwrap_v4(opcode, &payload) {
-                            Ok((w, inner)) => {
-                                cwire = Some(w);
-                                payload = inner.to_vec();
-                            }
-                            Err(e) => {
-                                // Refuse the damaged frame, keep the
-                                // connection: framing is still intact, and
-                                // the id hint lets the client correlate.
-                                let (code, msg) = match e {
-                                    trisolv_server::protocol::EnvelopeError::Checksum => {
-                                        self.shared.crc_rejects.fetch_add(1, Ordering::Relaxed);
-                                        (ErrorCode::Corrupt, "payload checksum mismatch")
-                                    }
-                                    trisolv_server::protocol::EnvelopeError::TooShort => (
-                                        ErrorCode::Malformed,
-                                        "payload shorter than the v4 envelope",
-                                    ),
-                                };
-                                let hint = v4_req_id_hint(&payload);
-                                let err = err_payload(code, msg, None);
-                                let frame = encode_frame(op::ERR, &wrap_v4(op::ERR, hint, &err));
-                                if let Some(conn) = self.clients.get_mut(&id) {
-                                    conn.enqueue(&frame);
-                                }
-                                continue;
-                            }
-                        }
-                    }
-                    let seq = {
-                        let Some(conn) = self.clients.get_mut(&id) else {
-                            return;
-                        };
-                        conn.begin_request()
-                    };
-                    self.dispatch_client(id, seq, cwire, opcode, payload, now);
-                }
-            }
-        }
-        if let Some(conn) = self.clients.get_mut(&id) {
-            conn.compact();
-            conn.update_read_deadline(self.opts.io_timeout, extracted);
-        }
-    }
-
-    /// Complete one client request: the reply is enveloped (echoing the
-    /// client's wire request id) when the client negotiated v4, and sent
-    /// bare on legacy connections.
-    fn finish_client(
-        &mut self,
-        id: u64,
-        seq: u64,
-        cwire: Option<u64>,
-        opcode: u8,
-        payload: &[u8],
-        close: bool,
-    ) {
-        let frame = match cwire {
-            Some(w) => encode_frame(opcode, &wrap_v4(opcode, w, payload)),
-            None => encode_frame(opcode, payload),
-        };
-        if let Some(conn) = self.clients.get_mut(&id) {
-            conn.finish(
-                seq,
-                if close {
-                    Outcome::ReplyThenClose(frame)
-                } else {
-                    Outcome::Reply(frame)
-                },
-            );
-            self.touched.push(id);
-        }
-    }
-
-    /// Write/extract pass over clients whose state changed off the
-    /// readiness path (a backend reply finished one of their requests).
-    /// The re-extraction mirrors the server loop's completion edge: frames
-    /// past the pipeline cap sit in `read_buf` where poll cannot see them,
-    /// so a freed slot must resume the parser.
-    fn flush_touched(&mut self) {
-        if self.touched.is_empty() {
-            return;
-        }
-        let mut ids = std::mem::take(&mut self.touched);
-        ids.sort_unstable();
-        ids.dedup();
-        let now = Instant::now();
-        for id in ids {
-            self.extract_client_frames(id, now);
-            let Some(conn) = self.clients.get_mut(&id) else {
-                continue;
-            };
-            let close = conn.try_write(self.opts.io_timeout).is_err() || conn.finished();
-            if close {
-                self.clients.remove(&id);
-            }
-        }
+    /// Complete one client request: the reply goes back enveloped under
+    /// the client's wire request id.
+    fn finish_client(&mut self, to: Origin, opcode: u8, payload: &[u8]) {
+        let frame = encode_v4(opcode, to.cwire, payload);
+        self.front.finish(to.client, Outcome::Reply(frame));
     }
 
     // -- request dispatch ----------------------------------------------------
@@ -1595,48 +1284,34 @@ impl RouterLoop {
         rid
     }
 
-    fn reply_err(
-        &mut self,
-        id: u64,
-        seq: u64,
-        cwire: Option<u64>,
-        code: ErrorCode,
-        msg: &str,
-        hint: Option<u64>,
-    ) {
-        self.finish_client(
-            id,
-            seq,
-            cwire,
-            op::ERR,
-            &err_payload(code, msg, hint),
-            false,
-        );
+    fn reply_err(&mut self, to: Origin, code: ErrorCode, msg: &str, hint: Option<u64>) {
+        self.finish_client(to, op::ERR, &err_payload(code, msg, hint));
     }
 
-    fn dispatch_client(
-        &mut self,
-        id: u64,
-        seq: u64,
-        cwire: Option<u64>,
-        opcode: u8,
-        payload: Vec<u8>,
-        now: Instant,
-    ) {
+    fn dispatch_admitted(&mut self, admitted: &mut Vec<frontend::Request>, now: Instant) {
+        for req in admitted.drain(..) {
+            self.dispatch_client(req, now);
+        }
+    }
+
+    fn dispatch_client(&mut self, req: frontend::Request, now: Instant) {
         self.shared.requests.fetch_add(1, Ordering::Relaxed);
-        match opcode {
-            op::SOLVE => self.dispatch_solve(id, seq, cwire, payload, now),
-            op::LOAD => self.dispatch_load(id, seq, cwire, payload, now),
-            op::EVICT => self.dispatch_evict(id, seq, cwire, &payload, now),
-            op::STATS => self.dispatch_stats(id, seq, cwire, now),
+        let to = Origin {
+            client: req.conn_id,
+            cwire: req.req_id,
+        };
+        match req.opcode {
+            op::SOLVE => self.dispatch_solve(to, req.payload, now),
+            op::LOAD => self.dispatch_load(to, req.payload, now),
+            op::EVICT => self.dispatch_evict(to, &req.payload, now),
+            op::STATS => self.dispatch_stats(to, now),
             op::SHUTDOWN => {
                 self.shutdown.store(true, Ordering::SeqCst);
-                self.finish_client(id, seq, cwire, op::OK_BYE, &[], true);
+                let bye = encode_v4(op::OK_BYE, to.cwire, &[]);
+                self.front.finish(to.client, Outcome::ReplyThenClose(bye));
             }
             other => self.reply_err(
-                id,
-                seq,
-                cwire,
+                to,
                 ErrorCode::UnknownOpcode,
                 &format!("unknown request opcode 0x{other:02x}"),
                 None,
@@ -1644,23 +1319,9 @@ impl RouterLoop {
         }
     }
 
-    fn dispatch_solve(
-        &mut self,
-        id: u64,
-        seq: u64,
-        cwire: Option<u64>,
-        payload: Vec<u8>,
-        now: Instant,
-    ) {
+    fn dispatch_solve(&mut self, to: Origin, payload: Vec<u8>, now: Instant) {
         if payload.len() < 32 {
-            self.reply_err(
-                id,
-                seq,
-                cwire,
-                ErrorCode::Malformed,
-                "short SOLVE payload",
-                None,
-            );
+            self.reply_err(to, ErrorCode::Malformed, "short SOLVE payload", None);
             return;
         }
         let fp = Fingerprint::from_bytes(payload[..16].try_into().expect("16 bytes"));
@@ -1668,9 +1329,7 @@ impl RouterLoop {
         let budget = effective_budget(client_ms, self.opts.deadline_cap);
         let replicas = self.ring.replicas(fp, self.opts.replication);
         let rid = self.new_request(Request {
-            client: id,
-            seq,
-            cwire,
+            origin: to,
             kind: Kind::Solve {
                 payload,
                 replicas,
@@ -1684,18 +1343,11 @@ impl RouterLoop {
         self.try_send_solve(rid, now);
     }
 
-    fn dispatch_load(
-        &mut self,
-        id: u64,
-        seq: u64,
-        cwire: Option<u64>,
-        payload: Vec<u8>,
-        now: Instant,
-    ) {
+    fn dispatch_load(&mut self, to: Origin, payload: Vec<u8>, now: Instant) {
         let fp = match load_fingerprint(&payload) {
             Ok(fp) => fp,
             Err(msg) => {
-                self.reply_err(id, seq, cwire, ErrorCode::Malformed, &msg, None);
+                self.reply_err(to, ErrorCode::Malformed, &msg, None);
                 return;
             }
         };
@@ -1706,11 +1358,9 @@ impl RouterLoop {
             .filter(|&b| self.backends[b].usable())
             .collect();
         if targets.is_empty() {
-            let hint = self.retry_hint_ms();
+            let hint = retry_hint_ms(self.opts.probe_interval);
             self.reply_err(
-                id,
-                seq,
-                cwire,
+                to,
                 ErrorCode::Busy,
                 "no healthy replica to load onto",
                 Some(hint),
@@ -1719,9 +1369,7 @@ impl RouterLoop {
         }
         self.retained.insert(fp, payload.clone());
         let rid = self.new_request(Request {
-            client: id,
-            seq,
-            cwire,
+            origin: to,
             kind: Kind::Load {
                 outstanding: targets.len(),
                 reply: None,
@@ -1734,20 +1382,13 @@ impl RouterLoop {
         }
     }
 
-    fn dispatch_evict(
-        &mut self,
-        id: u64,
-        seq: u64,
-        cwire: Option<u64>,
-        payload: &[u8],
-        now: Instant,
-    ) {
+    fn dispatch_evict(&mut self, to: Origin, payload: &[u8], now: Instant) {
         let fp = {
             let mut c = Cursor::new(payload);
             match c.fingerprint().and_then(|fp| c.finish().map(|_| fp)) {
                 Ok(fp) => fp,
                 Err(msg) => {
-                    self.reply_err(id, seq, cwire, ErrorCode::Malformed, &msg, None);
+                    self.reply_err(to, ErrorCode::Malformed, &msg, None);
                     return;
                 }
             }
@@ -1762,13 +1403,11 @@ impl RouterLoop {
             .collect();
         if targets.is_empty() {
             let payload = evict_reply(false, &outcomes, &self.opts.backends);
-            self.finish_client(id, seq, cwire, op::OK_EVICTED, &payload, false);
+            self.finish_client(to, op::OK_EVICTED, &payload);
             return;
         }
         let rid = self.new_request(Request {
-            client: id,
-            seq,
-            cwire,
+            origin: to,
             kind: Kind::Evict {
                 existed: false,
                 outstanding: targets.len(),
@@ -1786,19 +1425,17 @@ impl RouterLoop {
         }
     }
 
-    fn dispatch_stats(&mut self, id: u64, seq: u64, cwire: Option<u64>, now: Instant) {
+    fn dispatch_stats(&mut self, to: Origin, now: Instant) {
         let targets: Vec<usize> = (0..self.backends.len())
             .filter(|&b| self.backends[b].usable())
             .collect();
         if targets.is_empty() {
             let payload = self.stats_reply_payload(&BTreeMap::new());
-            self.finish_client(id, seq, cwire, op::OK_STATS, &payload, false);
+            self.finish_client(to, op::OK_STATS, &payload);
             return;
         }
         let rid = self.new_request(Request {
-            client: id,
-            seq,
-            cwire,
+            origin: to,
             kind: Kind::Stats {
                 outstanding: targets.len(),
                 acc: BTreeMap::new(),
@@ -1840,10 +1477,7 @@ impl RouterLoop {
                 "router_hedge_wins",
                 self.shared.hedge_wins.load(Ordering::Relaxed),
             ),
-            (
-                "router_crc_rejects",
-                self.shared.crc_rejects.load(Ordering::Relaxed),
-            ),
+            ("router_crc_rejects", self.shared.crc_rejects()),
             (
                 "router_orphan_replies",
                 self.shared.orphan_replies.load(Ordering::Relaxed),
@@ -1858,37 +1492,17 @@ impl RouterLoop {
         }
         b.build()
     }
-
-    // -- shutdown ------------------------------------------------------------
-
-    /// Bounded post-shutdown grace: flush buffered client replies (the
-    /// `OK_BYE` in particular), then close everything. Requests still
-    /// waiting on backends are abandoned — their clients see the close and
-    /// retry elsewhere.
-    fn drain_and_exit(&mut self) {
-        let deadline = Instant::now() + Duration::from_millis(500);
-        while Instant::now() < deadline {
-            let mut done: Vec<u64> = Vec::new();
-            for (&id, conn) in self.clients.iter_mut() {
-                if conn.try_write(self.opts.io_timeout).is_err() || !conn.wants_write() {
-                    done.push(id);
-                }
-            }
-            for id in done {
-                self.clients.remove(&id);
-            }
-            if self.clients.is_empty() {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        self.clients.clear();
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Pure helpers
 // ---------------------------------------------------------------------------
+
+/// Hint handed to clients when no replica is reachable (or the router is
+/// at its connection limit): roughly one probe cycle out.
+fn retry_hint_ms(probe_interval: Duration) -> u64 {
+    (probe_interval.as_millis() as u64).max(1) * 2
+}
 
 /// The solve budget: client ask clamped to the router cap, the cap alone
 /// when the client sent none, and a one-minute backstop when both are zero
@@ -1901,6 +1515,19 @@ fn effective_budget(client_ms: u64, cap: Duration) -> Duration {
         (Some(c), None) => c,
         (None, Some(k)) => k,
         (None, None) => Duration::from_secs(60),
+    }
+}
+
+/// A backend's `ERR` payload as an error triple; an undecodable one (or
+/// an unknown code) becomes `Internal`.
+fn backend_err(payload: &[u8]) -> ErrInfo {
+    match parse_err(payload) {
+        Ok((code, msg, hint)) => (code.unwrap_or(ErrorCode::Internal), msg, hint),
+        Err(e) => (
+            ErrorCode::Internal,
+            format!("undecodable backend error: {e}"),
+            None,
+        ),
     }
 }
 

@@ -59,7 +59,6 @@ fn resilient_opts(seed: u64) -> ClientOptions {
         backoff: Duration::from_millis(1),
         max_backoff: Duration::from_millis(25),
         seed,
-        ..ClientOptions::default()
     }
 }
 

@@ -1,12 +1,17 @@
 //! End-to-end router tests over real loopback TCP with in-process
 //! backends: protocol transparency, replication, STATS aggregation,
-//! per-replica EVICT outcomes, failover, and error propagation.
+//! per-replica EVICT outcomes, failover, error propagation, and how the
+//! backend side treats stray replies and peers that refuse the handshake.
 
-use std::time::Duration;
+#[path = "../../server/tests/common/mod.rs"]
+mod common;
+
+use std::sync::atomic::Ordering;
+use std::time::{Duration, Instant};
 
 use trisolv_matrix::{gen, DenseMatrix};
 use trisolv_router::{Ring, Router, RouterOptions};
-use trisolv_server::protocol::ErrorCode;
+use trisolv_server::protocol::{self, op, ErrorCode};
 use trisolv_server::{
     BatchOptions, Client, ClientError, EngineOptions, ExecMode, Fingerprint, ReplicaEvict, Server,
     ServerOptions,
@@ -353,4 +358,150 @@ fn fleet_wide_evict_drops_the_retained_copy_so_rejoin_cannot_replay_it() {
     drop(c2);
     router.join();
     replacement.join();
+}
+
+/// Concurrent clients through one router — blocking request/response
+/// clients beside a hand-pipelined one — all get answers bit-identical to
+/// each other: the envelope is framing, not semantics, and request ids
+/// keep interleaved traffic straight.
+#[test]
+fn mixed_concurrent_clients_round_trip_through_one_router() {
+    let (servers, addrs) = spawn_fleet(2);
+    let router = Router::spawn(router_opts(addrs, 2)).unwrap();
+    assert!(router.wait_healthy(2, Duration::from_secs(10)));
+    let raddr = router.local_addr().to_string();
+
+    let a = gen::grid2d_laplacian(8, 8);
+    let fp = Client::connect(&raddr)
+        .unwrap()
+        .load(&a)
+        .unwrap()
+        .fingerprint;
+    let b = gen::random_rhs(64, 1, 13);
+    let expect = Client::connect(&raddr)
+        .unwrap()
+        .solve(fp, b.col(0))
+        .unwrap();
+    check_solution(&a, &b, &expect);
+
+    std::thread::scope(|scope| {
+        for _ in 0..3 {
+            scope.spawn(|| {
+                let mut c = Client::connect(&raddr).unwrap();
+                for _ in 0..5 {
+                    assert_eq!(c.solve(fp, b.col(0)).unwrap(), expect);
+                }
+            });
+        }
+        scope.spawn(|| {
+            let mut raw = common::hello(&raddr);
+            let inner = common::solve_payload(fp, b.col(0));
+            for rid in 1..=6u64 {
+                common::send(&mut raw, op::SOLVE, rid, &inner);
+            }
+            for (rid, (opcode, x)) in common::recv_by_id(&mut raw, 6) {
+                assert_eq!(opcode, op::OK_SOLVED, "request {rid}");
+                assert_eq!(common::solved_x(&x), expect, "request {rid}");
+            }
+        });
+    });
+    let stats = Client::connect(&raddr).unwrap().stats().unwrap();
+    assert_eq!(common::stat(&stats, "router_orphan_replies"), 0);
+    assert_eq!(common::stat(&stats, "router_crc_rejects"), 0);
+
+    router.join();
+    for s in servers {
+        s.join();
+    }
+}
+
+/// Regression: a backend reply that correlates to nothing (here every
+/// STATS is answered twice) is counted as an orphan and dropped — it must
+/// not condemn the connection, which once turned one stray frame into a
+/// full teardown and a rejoin storm.
+#[test]
+fn orphan_reply_is_counted_and_does_not_condemn_the_backend() {
+    let (addr, dials, _seen) = common::stub_peer(common::ok_hello, |opcode, wire| {
+        if opcode == op::STATS {
+            // a minimal OK_STATS (zero pairs), then an unsolicited duplicate
+            let reply =
+                protocol::encode_v4(op::OK_STATS, wire, &protocol::Builder::new().u64(0).build());
+            [reply.clone(), reply].concat()
+        } else {
+            let p = protocol::err_payload(ErrorCode::UnknownFingerprint, "stub", None);
+            protocol::encode_v4(op::ERR, wire, &p)
+        }
+    });
+    let router = Router::spawn(router_opts(vec![addr], 1)).unwrap();
+    assert!(router.wait_healthy(1, Duration::from_secs(10)));
+
+    let mut client = Client::connect(router.local_addr().to_string()).unwrap();
+    let stats = client.stats().unwrap();
+    assert_eq!(common::stat(&stats, "router_backends_healthy"), 1);
+
+    // the duplicate lands asynchronously; wait for the counter
+    let start = Instant::now();
+    while router.orphan_replies() == 0 {
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "orphan reply was never counted"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // the same backend connection still answers: never torn down, never
+    // redialled, and a stray frame is not a corrupt one
+    let stats = client.stats().unwrap();
+    assert_eq!(common::stat(&stats, "router_backends_healthy"), 1);
+    assert!(common::stat(&stats, "router_orphan_replies") >= 1);
+    assert_eq!(common::stat(&stats, "router_crc_rejects"), 0);
+    assert_eq!(dials.load(Ordering::SeqCst), 1);
+
+    drop(client);
+    router.join();
+}
+
+/// A backend that answers the router's `HELLO` with `ERR UnknownOpcode`
+/// (what a pre-v4 server said) is a failed dial, not a downgrade: it stays
+/// on the breaker's probe schedule and never sees a request.
+#[test]
+fn backend_refusing_hello_stays_probing_and_serves_no_traffic() {
+    let (addr, dials, seen) = common::stub_peer(
+        || {
+            let p = protocol::err_payload(
+                ErrorCode::UnknownOpcode,
+                "unknown request opcode 0x06",
+                None,
+            );
+            protocol::encode_frame(op::ERR, &p)
+        },
+        // never reached: `seen` below proves only HELLOs arrived
+        |_, _| Vec::new(),
+    );
+    let router = Router::spawn(router_opts(vec![addr], 1)).unwrap();
+
+    // the breaker keeps probing: wait for a few redials
+    let start = Instant::now();
+    while dials.load(Ordering::SeqCst) < 3 {
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "the refused backend must stay on the probe schedule"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(router.healthy_backends(), 0);
+
+    // client traffic is answered by the router itself: nowhere to route
+    let mut client = Client::connect(router.local_addr().to_string()).unwrap();
+    let err = client.solve(Fingerprint(1, 2), &[1.0, 2.0]).unwrap_err();
+    match err {
+        ClientError::Server { code, .. } => assert_eq!(code, Some(ErrorCode::Busy)),
+        other => panic!("expected ERR Busy, got {other:?}"),
+    }
+    let stats = client.stats().unwrap();
+    assert_eq!(common::stat(&stats, "router_backends_healthy"), 0);
+    assert!(seen.lock().unwrap().iter().all(|&o| o == op::HELLO));
+
+    drop(client);
+    router.join();
 }

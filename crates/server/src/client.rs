@@ -4,18 +4,15 @@
 //! time; concurrency comes from opening more connections, which is exactly
 //! what feeds the server-side micro-batcher.
 //!
-//! Protocol v4 (opt-out via [`ClientOptions::max_version`]): clients built
-//! by [`Client::connect_with`] open with a `HELLO` handshake. Against a v4
-//! peer every subsequent frame carries a 64-bit request id plus a payload
-//! checksum trailer; the client verifies both on every reply — an id
-//! mismatch or checksum failure surfaces as [`ClientError::Protocol`],
-//! which [`Client::solve_with_retry`] treats as transient across a
-//! mandatory reconnect. Against an older peer the handshake is answered
-//! with `ERR UnknownOpcode` and the client falls back to the legacy (v3)
-//! framing on the same connection, so mixed-version fleets keep working
-//! during rolling upgrades.
+//! Every connection opens with the `HELLO` handshake, and every frame
+//! after it carries a 64-bit request id plus a payload checksum trailer;
+//! the client verifies both on every reply — an id mismatch or checksum
+//! failure surfaces as [`ClientError::Protocol`], which
+//! [`Client::solve_with_retry`] treats as transient across a mandatory
+//! reconnect. A peer that does not answer `OK_HELLO` with version 4 is
+//! not one this client can talk to, and the connect fails.
 //!
-//! Resilience (new in the hardening pass) is opt-in through
+//! Resilience is opt-in through
 //! [`ClientOptions`]: connect/request timeouts, transparent reconnect, and
 //! [`Client::solve_with_retry`], which retries transient failures —
 //! `Busy` sheds (honoring the server's `retry_after_ms` hint), deadline
@@ -32,7 +29,7 @@ use trisolv_matrix::CscMatrix;
 
 use crate::fingerprint::Fingerprint;
 use crate::protocol::{
-    op, parse_err, read_frame, unwrap_v4, wrap_v4, write_frame, Builder, Cursor, EnvelopeError,
+    encode_v4, op, parse_err, read_frame, unwrap_v4, write_frame, Builder, Cursor, EnvelopeError,
     ErrorCode, PROTOCOL_VERSION, SOLVE_FLAG_CERTIFIED,
 };
 
@@ -105,8 +102,8 @@ pub struct LoadReply {
     pub already_cached: bool,
 }
 
-/// Reply to a successful certified `SOLVE` (protocol v3, flags bit 0): the
-/// refined solution plus its refinement certificate.
+/// Reply to a successful certified `SOLVE` (flags bit 0): the refined
+/// solution plus its refinement certificate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CertifiedReply {
     /// The refined solution.
@@ -157,10 +154,6 @@ pub struct ClientOptions {
     pub max_backoff: Duration,
     /// Seed for backoff jitter (deterministic tests; vary it per client).
     pub seed: u64,
-    /// Highest protocol version to offer in the `HELLO` handshake.
-    /// Below 4 the handshake is skipped entirely and the client speaks
-    /// the legacy framing (pin to 3 for version-compat tests).
-    pub max_version: u16,
 }
 
 impl Default for ClientOptions {
@@ -172,7 +165,6 @@ impl Default for ClientOptions {
             backoff: Duration::from_millis(50),
             max_backoff: Duration::from_secs(2),
             seed: 0,
-            max_version: PROTOCOL_VERSION,
         }
     }
 }
@@ -198,49 +190,40 @@ pub struct Client {
     opts: ClientOptions,
     rng: Rng,
     stats: RetryStats,
-    /// Protocol version negotiated on this connection (3 = legacy framing,
-    /// no ids or checksums; ≥ 4 = enveloped frames).
-    negotiated: u16,
-    /// Next request id on a v4 connection.
+    /// Next request id on this connection.
     next_rid: u64,
 }
 
 impl Client {
-    /// Connect once, with no timeouts, no retry machinery, and no version
-    /// handshake — the connection speaks the legacy (v3) framing, which
-    /// keeps this constructor suitable for raw-frame test traffic.
+    /// Connect once with no timeouts and no retry machinery (no address is
+    /// retained, so [`Client::solve_with_retry`] cannot reconnect), and
+    /// perform the `HELLO` handshake.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Client {
-            stream,
-            addr: None,
-            opts: ClientOptions {
-                retries: 0,
-                ..ClientOptions::default()
-            },
-            rng: Rng::seed_from_u64(0),
-            stats: RetryStats::default(),
-            negotiated: 3,
-            next_rid: 1,
-        })
+        let opts = ClientOptions {
+            retries: 0,
+            ..ClientOptions::default()
+        };
+        Client::greet(stream, None, opts)
     }
 
     /// Connect with resilience options: a bounded connect, socket
     /// read/write timeouts, and the address retained so
     /// [`Client::solve_with_retry`] can reconnect after transport failures.
-    /// Unless [`ClientOptions::max_version`] pins the legacy protocol, the
-    /// connection opens with a `HELLO` handshake and upgrades to v4 framing
-    /// when the peer supports it.
+    /// The connection opens with the `HELLO` handshake.
     pub fn connect_with(addr: &str, opts: ClientOptions) -> io::Result<Client> {
         let stream = Self::dial(addr, &opts)?;
+        Client::greet(stream, Some(addr.to_string()), opts)
+    }
+
+    fn greet(stream: TcpStream, addr: Option<String>, opts: ClientOptions) -> io::Result<Client> {
         let mut client = Client {
             stream,
-            addr: Some(addr.to_string()),
+            addr,
             rng: Rng::seed_from_u64(opts.seed),
             opts,
             stats: RetryStats::default(),
-            negotiated: 3,
             next_rid: 1,
         };
         client
@@ -249,48 +232,21 @@ impl Client {
         Ok(client)
     }
 
-    /// Negotiate the protocol version on the current stream. Must be the
-    /// first request on a connection. A peer that predates `HELLO` answers
-    /// `ERR UnknownOpcode` and leaves the connection open — that is the
-    /// downgrade signal, and the client stays on the legacy framing.
-    /// Returns the negotiated version.
-    pub fn hello(&mut self) -> Result<u16, ClientError> {
-        if self.opts.max_version < 4 {
-            self.negotiated = self.opts.max_version.min(3);
-            return Ok(self.negotiated);
-        }
-        let payload = Builder::new().u16(self.opts.max_version).build();
+    /// The handshake: offer [`PROTOCOL_VERSION`] in a bare `HELLO` and
+    /// require `OK_HELLO` to agree on it. Must be the first exchange on a
+    /// stream; everything after it is enveloped.
+    fn hello(&mut self) -> Result<(), ClientError> {
+        let payload = Builder::new().u16(PROTOCOL_VERSION).build();
         write_frame(&mut self.stream, op::HELLO, &payload)?;
         let (opcode, reply) = read_frame(&mut self.stream)?;
-        match opcode {
-            op::OK_HELLO => {
-                let mut c = Cursor::new(&reply);
-                let theirs = c.u16().map_err(ClientError::Protocol)?;
-                self.negotiated = theirs.min(self.opts.max_version);
-                Ok(self.negotiated)
-            }
-            op::ERR => match parse_err(&reply) {
-                Ok((Some(ErrorCode::UnknownOpcode), _, _)) => {
-                    self.negotiated = 3;
-                    Ok(3)
-                }
-                Ok((code, message, retry_after_ms)) => Err(ClientError::Server {
-                    code,
-                    message,
-                    retry_after_ms,
-                }),
-                Err(m) => Err(ClientError::Protocol(format!("undecodable ERR frame: {m}"))),
-            },
-            other => Err(ClientError::Protocol(format!(
-                "unexpected HELLO reply opcode 0x{other:02x}"
+        Self::expect(opcode, op::OK_HELLO, &reply)?;
+        match Cursor::new(&reply).u16() {
+            Ok(PROTOCOL_VERSION) => Ok(()),
+            Ok(other) => Err(ClientError::Protocol(format!(
+                "peer negotiated protocol version {other}, need {PROTOCOL_VERSION}"
             ))),
+            Err(m) => Err(ClientError::Protocol(m)),
         }
-    }
-
-    /// Protocol version negotiated on this connection (3 until a `HELLO`
-    /// upgrades it).
-    pub fn negotiated_version(&self) -> u16 {
-        self.negotiated
     }
 
     fn dial(addr: &str, opts: &ClientOptions) -> io::Result<TcpStream> {
@@ -517,16 +473,14 @@ impl Client {
         }
     }
 
-    /// Replace the connection (only possible for `connect_with` clients).
-    /// The fresh stream re-negotiates from scratch — a rolling upgrade may
-    /// land the reconnect on a peer speaking a different version.
+    /// Replace the connection (only possible for `connect_with` clients);
+    /// the fresh stream starts with its own handshake.
     fn reconnect(&mut self) -> Result<(), ClientError> {
         let addr = self
             .addr
             .clone()
             .ok_or_else(|| ClientError::Io("no address retained for reconnect".to_string()))?;
         self.stream = Self::dial(&addr, &self.opts)?;
-        self.negotiated = 3;
         self.hello()?;
         self.stats.reconnects += 1;
         Ok(())
@@ -624,20 +578,17 @@ impl Client {
     }
 
     fn round_trip(&mut self, opcode: u8, payload: &[u8]) -> Result<(u8, Vec<u8>), ClientError> {
-        if self.negotiated < 4 {
-            write_frame(&mut self.stream, opcode, payload)?;
-            return Ok(read_frame(&mut self.stream)?);
-        }
+        use std::io::Write as _;
         let rid = self.next_rid;
         self.next_rid += 1;
-        let wrapped = wrap_v4(opcode, rid, payload);
-        write_frame(&mut self.stream, opcode, &wrapped)?;
+        self.stream.write_all(&encode_v4(opcode, rid, payload))?;
         let (ropc, rbody) = read_frame(&mut self.stream)?;
         match unwrap_v4(ropc, &rbody) {
             Ok((got, inner)) => {
                 // ERR frames echo a best-effort id (the request may have
-                // been too corrupt to trust its id field), so only success
-                // replies are held to exact correlation.
+                // been too corrupt to trust its id field, or the error may
+                // belong to the connection), so only success replies are
+                // held to exact correlation.
                 if ropc != op::ERR && got != rid {
                     return Err(ClientError::Protocol(format!(
                         "reply correlates to request {got}, expected {rid}"
@@ -645,15 +596,11 @@ impl Client {
                 }
                 Ok((ropc, inner.to_vec()))
             }
-            // Close-path errors (bad frame length, idle timeout, accept
-            // shed) are emitted before or outside the per-request path and
-            // stay legacy-encoded even on a v4 connection.
-            Err(_) if ropc == op::ERR => Ok((ropc, rbody)),
             Err(EnvelopeError::Checksum) => Err(ClientError::Protocol(
                 "reply failed its payload checksum".to_string(),
             )),
             Err(EnvelopeError::TooShort) => Err(ClientError::Protocol(
-                "reply shorter than the v4 envelope".to_string(),
+                "reply shorter than its envelope".to_string(),
             )),
         }
     }

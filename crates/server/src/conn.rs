@@ -9,30 +9,24 @@
 //! bytes until the socket pushes back.
 //!
 //! Pipelining: a client may send many frames without waiting for replies.
-//! Requests execute concurrently across the worker pool, but replies go out
-//! strictly in request order — each parsed frame takes a sequence number
-//! from [`begin_request`], and [`finish`] holds out-of-order outcomes in a
-//! small reorder map until their turn. The in-flight count doubles as
-//! backpressure: past the pipeline cap the loop simply stops reading this
-//! socket, so a flooding client blocks on TCP instead of ballooning the
-//! queue.
+//! Requests execute concurrently across the worker pool and every reply
+//! flushes the moment it completes — each frame carries a request ID the
+//! peer correlates on, so one slow request never head-of-line blocks the
+//! connection. The in-flight count (`in_flight`, released by [`finish`])
+//! is the backpressure: past the pipeline cap the loop simply stops reading
+//! this socket, so a flooding client blocks on TCP instead of ballooning
+//! the queue.
 //!
-//! A connection that negotiates protocol v4 ([`set_v4`]) switches to
-//! *unordered* replies: every frame carries a request ID the peer
-//! correlates on, so [`finish`] skips the reorder map and flushes each
-//! outcome the moment it completes. Out-of-order replies are the feature —
-//! they are what lets a receiver tolerate one slow request without
-//! head-of-line blocking the connection.
-//!
-//! [`set_v4`]: Conn::set_v4
+//! The one piece of framing state is `greeted`: frames are bare until the
+//! `HELLO` handshake completes and enveloped afterwards (see
+//! `protocol.rs`). The front end flips it; `Conn` itself never looks
+//! inside a frame.
 //!
 //! [`read_some`]: Conn::read_some
 //! [`next_frame`]: Conn::next_frame
 //! [`try_write`]: Conn::try_write
-//! [`begin_request`]: Conn::begin_request
 //! [`finish`]: Conn::finish
 
-use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -54,15 +48,17 @@ pub enum Outcome {
 
 /// One step of the incremental frame parser.
 #[derive(Debug)]
-pub enum FrameStep {
+pub enum FrameStep<'a> {
     /// Not enough buffered bytes for a complete frame yet.
     Incomplete,
     /// A complete `len | opcode | payload` frame.
     Frame {
         /// The operation byte.
         opcode: u8,
-        /// The payload bytes after the opcode.
-        payload: Vec<u8>,
+        /// The payload bytes after the opcode, still in the read buffer:
+        /// the caller verifies them in place and copies out only what it
+        /// keeps (mutable so the `read.bitflip` fault can damage them).
+        payload: &'a mut [u8],
     },
     /// The length prefix is zero or over [`MAX_FRAME_LEN`]; the stream can
     /// never be re-synchronized past it.
@@ -78,8 +74,8 @@ pub enum ReadStatus {
     Eof,
 }
 
-/// Per-connection state machine: incremental frame parsing in, seq-ordered
-/// reply reassembly out, with slow-peer and slow-reader deadlines.
+/// Per-connection state machine: incremental frame parsing in, replies out
+/// in completion order, with slow-peer and slow-reader deadlines.
 pub struct Conn {
     /// The nonblocking socket.
     pub stream: TcpStream,
@@ -93,14 +89,8 @@ pub struct Conn {
     /// Budget for the peer to accept buffered reply bytes; reset whenever a
     /// write makes progress.
     pub write_deadline: Option<Instant>,
-    /// Sequence number handed to the next parsed frame.
-    next_seq: u64,
-    /// Sequence number whose outcome must be written next.
-    next_out: u64,
-    /// Outcomes that finished ahead of their turn.
-    done: BTreeMap<u64, Outcome>,
-    /// Frames dispatched (or error-queued) but not yet resolved into the
-    /// write buffer.
+    /// Requests admitted (the front end counts them in) but not yet
+    /// resolved into the write buffer by [`Conn::finish`].
     pub in_flight: usize,
     /// Peer closed its write half: no further *bytes* will arrive, but
     /// complete frames already buffered still parse and get answered.
@@ -110,9 +100,9 @@ pub struct Conn {
     input_dead: bool,
     /// Close as soon as the write buffer drains.
     closing: bool,
-    /// Protocol v4 negotiated: frames are enveloped (request ID +
-    /// checksum) and replies go out in completion order, not request order.
-    v4: bool,
+    /// The `HELLO` handshake completed: every later frame, in both
+    /// directions, is enveloped. The front end flips it.
+    pub greeted: bool,
 }
 
 impl Conn {
@@ -126,33 +116,12 @@ impl Conn {
             write_pos: 0,
             read_deadline: None,
             write_deadline: None,
-            next_seq: 0,
-            next_out: 0,
-            done: BTreeMap::new(),
             in_flight: 0,
             eof: false,
             input_dead: false,
             closing: false,
-            v4: false,
+            greeted: false,
         }
-    }
-
-    /// Switch this connection to protocol v4 (after a `HELLO` handshake):
-    /// replies flush in completion order from now on. Only legal before
-    /// any non-`HELLO` request is admitted.
-    pub fn set_v4(&mut self) {
-        self.v4 = true;
-    }
-
-    /// Has this connection negotiated protocol v4?
-    pub fn is_v4(&self) -> bool {
-        self.v4
-    }
-
-    /// How many requests have been admitted (sequence numbers handed out).
-    /// The `HELLO` handshake uses this to enforce first-frame-only.
-    pub fn requests_begun(&self) -> u64 {
-        self.next_seq
     }
 
     /// Pull whatever the socket has buffered. `Err` means the transport
@@ -173,7 +142,7 @@ impl Conn {
     /// Try to peel one complete frame off the read buffer. Peer EOF does
     /// not stop parsing — frames that arrived before the close still get
     /// served; only a dead input (framing error, queued close) does.
-    pub fn next_frame(&mut self) -> FrameStep {
+    pub fn next_frame(&mut self) -> FrameStep<'_> {
         if self.input_dead {
             return FrameStep::Incomplete;
         }
@@ -190,10 +159,12 @@ impl Conn {
         if avail.len() < total {
             return FrameStep::Incomplete;
         }
-        let opcode = avail[4];
-        let payload = avail[5..total].to_vec();
+        let frame = &mut self.read_buf[self.read_pos..self.read_pos + total];
         self.read_pos += total;
-        FrameStep::Frame { opcode, payload }
+        FrameStep::Frame {
+            opcode: frame[4],
+            payload: &mut frame[5..],
+        }
     }
 
     /// Drop consumed bytes so the read buffer does not grow without bound.
@@ -251,35 +222,14 @@ impl Conn {
         }
     }
 
-    /// Allocate the sequence number for a newly parsed frame (or a
-    /// loop-generated error that must respect reply ordering).
-    pub fn begin_request(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.in_flight += 1;
-        seq
-    }
-
-    /// Resolve request `seq`. In-order outcomes flow straight into the
-    /// write buffer; early arrivals wait in the reorder map. On a v4
-    /// connection the reorder map is bypassed entirely — the outcome
-    /// flushes now, in completion order, and the peer correlates by the
-    /// request ID inside the frame.
-    pub fn finish(&mut self, seq: u64, outcome: Outcome) {
+    /// Resolve one admitted request: its slot frees and its outcome goes
+    /// to the write buffer now, in completion order — the peer correlates
+    /// by the request ID inside the frame. Once a close is queued, later
+    /// outcomes are dropped.
+    pub fn finish(&mut self, outcome: Outcome) {
         self.in_flight = self.in_flight.saturating_sub(1);
-        if self.v4 {
-            if !self.closing {
-                self.apply_outcome(outcome);
-            }
-            return;
-        }
-        self.done.insert(seq, outcome);
-        while !self.closing {
-            let Some(out) = self.done.remove(&self.next_out) else {
-                break;
-            };
-            self.next_out += 1;
-            self.apply_outcome(out);
+        if !self.closing {
+            self.apply_outcome(outcome);
         }
     }
 
@@ -306,24 +256,24 @@ impl Conn {
         self.read_deadline = None;
     }
 
-    /// Queue an error frame and close after it flushes, preserving reply
-    /// order behind any in-flight requests. Kills the input side and the
-    /// slow-peer clock immediately — even while the error waits in the
-    /// reorder map — so the deadline fires exactly once instead of spinning
-    /// the loop at a zero poll timeout until in-flight work resolves.
+    /// Queue a connection-scoped error frame and close after it flushes;
+    /// requests still in flight lose their replies with the connection.
+    /// Kills the input side and the slow-peer clock immediately, so the
+    /// deadline fires exactly once instead of spinning the loop at a zero
+    /// poll timeout.
     pub fn fail_and_close(&mut self, frame: Vec<u8>) {
-        self.input_dead = true;
         self.read_deadline = None;
-        let seq = self.begin_request();
-        self.finish(seq, Outcome::ReplyThenClose(frame));
+        if !self.closing {
+            self.apply_outcome(Outcome::ReplyThenClose(frame));
+        }
     }
 
     /// Append already-encoded frame bytes directly to the write buffer,
-    /// bypassing the seq/reorder machinery. This is how the router's
-    /// *outbound* (backend-facing) connections reuse this state machine:
-    /// requests go out through `enqueue`, replies come back through
-    /// [`Conn::read_some`]/[`Conn::next_frame`], and FIFO request→reply
-    /// matching is the caller's job.
+    /// outside the in-flight accounting: replies the front end writes
+    /// itself (`OK_HELLO`, `ERR Corrupt`), and the requests the router
+    /// sends on its *outbound* (backend-facing) connections, whose replies
+    /// come back through [`Conn::read_some`]/[`Conn::next_frame`] and are
+    /// correlated by the caller.
     pub fn enqueue(&mut self, frame: &[u8]) {
         self.write_buf.extend_from_slice(frame);
     }
@@ -386,6 +336,7 @@ impl Conn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::encode_frame as frame;
     use std::net::TcpListener;
 
     fn pair() -> (TcpStream, TcpStream) {
@@ -395,14 +346,6 @@ mod tests {
         a.set_nodelay(true).unwrap();
         b.set_nonblocking(true).unwrap();
         (a, b)
-    }
-
-    fn frame(opcode: u8, payload: &[u8]) -> Vec<u8> {
-        let mut f = Vec::new();
-        f.extend_from_slice(&(1 + payload.len() as u32).to_le_bytes());
-        f.push(opcode);
-        f.extend_from_slice(payload);
-        f
     }
 
     fn read_until(conn: &mut Conn, want: usize) {
@@ -430,7 +373,7 @@ mod tests {
                 FrameStep::Incomplete if i + 1 < f.len() => {}
                 FrameStep::Frame { opcode, payload } if i + 1 == f.len() => {
                     assert_eq!(opcode, 0x02);
-                    assert_eq!(payload, vec![7, 8, 9, 10, 11]);
+                    assert_eq!(payload, [7, 8, 9, 10, 11]);
                     return;
                 }
                 step => panic!("unexpected step at byte {i}: {step:?}"),
@@ -479,62 +422,30 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_completion_writes_in_request_order() {
+    fn replies_flush_in_completion_order() {
         let (_peer, server) = pair();
         let mut conn = Conn::new(server);
-        let s0 = conn.begin_request();
-        let s1 = conn.begin_request();
-        let s2 = conn.begin_request();
-        assert_eq!(conn.in_flight, 3);
-        conn.finish(s2, Outcome::Reply(b"C".to_vec()));
-        conn.finish(s0, Outcome::Reply(b"A".to_vec()));
-        assert_eq!(
-            &conn.write_buf, b"A",
-            "seq 1 still pending holds seq 2 back"
-        );
-        conn.finish(s1, Outcome::Reply(b"B".to_vec()));
-        assert_eq!(&conn.write_buf, b"ABC");
-        assert_eq!(conn.in_flight, 0);
-        assert!(!conn.finished(), "open connection with unflushed bytes");
-    }
-
-    #[test]
-    fn v4_mode_writes_in_completion_order() {
-        let (_peer, server) = pair();
-        let mut conn = Conn::new(server);
-        assert!(!conn.is_v4());
-        conn.set_v4();
-        assert!(conn.is_v4());
-        let s0 = conn.begin_request();
-        let s1 = conn.begin_request();
-        let s2 = conn.begin_request();
-        assert_eq!(conn.requests_begun(), 3);
+        conn.in_flight = 3;
         // completion order C, A, B flushes as C, A, B — the peer
         // correlates by request ID, not arrival order
-        conn.finish(s2, Outcome::Reply(b"C".to_vec()));
-        assert_eq!(&conn.write_buf, b"C", "no reorder hold-back in v4");
-        conn.finish(s0, Outcome::Reply(b"A".to_vec()));
-        conn.finish(s1, Outcome::Reply(b"B".to_vec()));
+        conn.finish(Outcome::Reply(b"C".to_vec()));
+        assert_eq!(&conn.write_buf, b"C", "no hold-back behind slower requests");
+        conn.finish(Outcome::Reply(b"A".to_vec()));
+        conn.finish(Outcome::Reply(b"B".to_vec()));
         assert_eq!(&conn.write_buf, b"CAB");
         assert_eq!(conn.in_flight, 0);
-        // a close still gates later completions
-        let s3 = conn.begin_request();
-        let s4 = conn.begin_request();
-        conn.finish(s3, Outcome::ReplyThenClose(b"!".to_vec()));
-        conn.finish(s4, Outcome::Reply(b"late".to_vec()));
-        assert_eq!(&conn.write_buf, b"CAB!");
+        assert!(!conn.finished(), "open connection with unflushed bytes");
     }
 
     #[test]
     fn close_carrying_outcome_stops_the_connection() {
         let (_peer, server) = pair();
         let mut conn = Conn::new(server);
-        let s0 = conn.begin_request();
-        let s1 = conn.begin_request();
-        conn.finish(s0, Outcome::ReplyThenClose(b"bye".to_vec()));
+        conn.in_flight = 2;
+        conn.finish(Outcome::ReplyThenClose(b"bye".to_vec()));
         assert!(!conn.wants_read(64), "no reads after a close is queued");
         // a late completion for a later request is silently dropped
-        conn.finish(s1, Outcome::Reply(b"late".to_vec()));
+        conn.finish(Outcome::Reply(b"late".to_vec()));
         assert_eq!(&conn.write_buf, b"bye");
     }
 
@@ -569,8 +480,8 @@ mod tests {
         let (mut peer, server) = pair();
         server.set_nonblocking(true).unwrap();
         let mut conn = Conn::new(server);
-        let s0 = conn.begin_request();
-        conn.finish(s0, Outcome::ReplyThenClose(b"done".to_vec()));
+        conn.in_flight = 1;
+        conn.finish(Outcome::ReplyThenClose(b"done".to_vec()));
         assert!(conn.wants_write());
         conn.try_write(Duration::from_secs(1)).unwrap();
         assert!(!conn.wants_write());

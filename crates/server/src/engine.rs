@@ -29,6 +29,7 @@ use crate::batch::{BatchLane, BatchOptions, LaneError};
 use crate::cache::{CacheStats, FactorCache, FactorEntry, SolverLane};
 use crate::fault::{FaultAction, FaultPlan, FaultSite};
 use crate::fingerprint::Fingerprint;
+use crate::frontend::FrontStats;
 use crate::store::FactorStore;
 
 /// Which executor runs the blocked solves.
@@ -209,7 +210,7 @@ pub struct LoadOutcome {
 }
 
 /// Result of a certified solve: the solution plus the refinement
-/// certificate carried in the v3 `SOLVE` reply.
+/// certificate carried in the `SOLVE` reply.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CertifiedOutcome {
     /// The refined solution.
@@ -283,8 +284,8 @@ pub struct EngineStats {
     pub precision_fallbacks: u64,
     /// Factors demoted to `f32` at cache-insert time.
     pub demoted_factors: u64,
-    /// v4 frames rejected by the payload-checksum trailer (wire
-    /// corruption caught before the request was parsed).
+    /// Frames rejected by the payload-checksum trailer (wire corruption
+    /// caught before the request was parsed).
     pub crc_rejects: u64,
 }
 
@@ -311,13 +312,11 @@ pub struct Engine {
     integrity_checks: AtomicU64,
     self_heals: AtomicU64,
     certified_solves: AtomicU64,
-    conns_open: AtomicU64,
-    conns_total: AtomicU64,
-    frames_pipelined: AtomicU64,
     f32_solves: AtomicU64,
     precision_fallbacks: AtomicU64,
     demoted_factors: AtomicU64,
-    crc_rejects: AtomicU64,
+    /// The front end's counters, reported through [`Engine::stats`].
+    front: Arc<FrontStats>,
     /// Fingerprints promoted to permanent `f64` residency by the `auto`
     /// precision mode (their certified solves needed the fallback).
     promoted: Mutex<HashSet<Fingerprint>>,
@@ -377,13 +376,10 @@ impl Engine {
             integrity_checks: AtomicU64::new(0),
             self_heals: AtomicU64::new(0),
             certified_solves: AtomicU64::new(0),
-            conns_open: AtomicU64::new(0),
-            conns_total: AtomicU64::new(0),
-            frames_pipelined: AtomicU64::new(0),
             f32_solves: AtomicU64::new(0),
             precision_fallbacks: AtomicU64::new(0),
             demoted_factors: AtomicU64::new(0),
-            crc_rejects: AtomicU64::new(0),
+            front: Arc::default(),
             promoted: Mutex::new(HashSet::new()),
         };
         if let Some(store) = eng.store.clone() {
@@ -426,31 +422,10 @@ impl Engine {
         self.worker_respawns.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record a connection admitted into service by the front end.
-    pub fn note_conn_open(&self) {
-        self.conns_open.fetch_add(1, Ordering::Relaxed);
-        self.conns_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a served connection closing. Must pair with
-    /// [`Engine::note_conn_open`]; the open gauge saturates at zero rather
-    /// than wrapping if a caller ever mispairs them.
-    pub fn note_conn_closed(&self) {
-        let _ = self
-            .conns_open
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1));
-    }
-
-    /// Record frames admitted while earlier requests on the same
-    /// connection were still in flight.
-    pub fn note_frames_pipelined(&self, n: u64) {
-        self.frames_pipelined.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record a v4 frame rejected by its payload checksum (called by the
-    /// front end so wire corruption lands in `STATS`).
-    pub fn note_crc_reject(&self) {
-        self.crc_rejects.fetch_add(1, Ordering::Relaxed);
+    /// The counters the front end serving this engine writes to, so they
+    /// land in `STATS`.
+    pub fn front_stats(&self) -> &Arc<FrontStats> {
+        &self.front
     }
 
     /// The backoff hint attached to `Busy` responses: two batching windows,
@@ -1027,9 +1002,9 @@ impl Engine {
             integrity_checks: self.integrity_checks.load(Ordering::Relaxed),
             self_heals: self.self_heals.load(Ordering::Relaxed),
             certified_solves: self.certified_solves.load(Ordering::Relaxed),
-            connections_open: self.conns_open.load(Ordering::Relaxed),
-            connections_total: self.conns_total.load(Ordering::Relaxed),
-            frames_pipelined: self.frames_pipelined.load(Ordering::Relaxed),
+            connections_open: self.front.conns_open.load(Ordering::Relaxed),
+            connections_total: self.front.conns_total.load(Ordering::Relaxed),
+            frames_pipelined: self.front.frames_pipelined.load(Ordering::Relaxed),
             load_hits: self.load_hits.load(Ordering::Relaxed),
             persist_writes: self.store.as_ref().map_or(0, |s| s.writes()),
             persist_recovered: self.store.as_ref().map_or(0, |s| s.recovered_count()),
@@ -1037,7 +1012,7 @@ impl Engine {
             f32_solves: self.f32_solves.load(Ordering::Relaxed),
             precision_fallbacks: self.precision_fallbacks.load(Ordering::Relaxed),
             demoted_factors: self.demoted_factors.load(Ordering::Relaxed),
-            crc_rejects: self.crc_rejects.load(Ordering::Relaxed),
+            crc_rejects: self.front.crc_rejects.load(Ordering::Relaxed),
         }
     }
 

@@ -45,12 +45,12 @@
 //! payload byte after the trailer checksum was computed (silent media
 //! corruption) — the recovery scan must discard all three without panicking.
 //! At the `read` site, `bitflip` flips one byte of a parsed request payload
-//! before it is decoded; at the `write` site it flips one byte of an
-//! encoded reply frame after its v4 checksum trailer was computed. Both
-//! model wire corruption that length framing cannot see: on a negotiated
-//! v4 connection the receiver's checksum rejects the frame (`ERR Corrupt`
-//! server-side, a counted drop at the router), while a legacy connection
-//! silently carries the damage — which is the whole argument for v4.
+//! before it is verified; at the `write` site it flips one byte of an
+//! encoded reply frame after its checksum trailer was computed. Both model
+//! wire corruption that length framing cannot see: the receiver's
+//! checksum rejects the frame (`ERR Corrupt` server-side, a counted drop
+//! at the router, a `Protocol` error in the client) instead of decoding
+//! the damage.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};

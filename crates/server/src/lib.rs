@@ -9,9 +9,10 @@
 //! [`engine`]), and exposes the whole thing over a std-only length-prefixed
 //! TCP protocol ([`protocol`]) behind an event-driven front end — a
 //! `poll(2)` readiness loop ([`poller`]), per-connection state machines
-//! with request pipelining ([`conn`]), and a solver-worker pool
-//! ([`server`]) — with a matching blocking client and load generator
-//! ([`client`], [`loadgen`]).
+//! with request pipelining ([`conn`]) owned by the client-facing front end
+//! the router shares ([`frontend`]), and a solver-worker pool ([`server`])
+//! — with a matching blocking client and load generator ([`client`],
+//! [`loadgen`]).
 //!
 //! Failure is a first-class input ([`fault`]): a seeded fault plan can
 //! inject torn frames, stalls, panics, and connection drops at named sites,
@@ -22,8 +23,8 @@
 //! Numeric trust is also first-class (DESIGN.md §13): cached factors are
 //! checksummed at insert and re-verified on a configurable cadence, with a
 //! corrupted factor transparently refactored from the retained matrix
-//! (self-healing, bit-identical by determinism), and protocol v3 lets a
-//! client request a *certified* solve — iterative refinement whose reply
+//! (self-healing, bit-identical by determinism), and a client can
+//! request a *certified* solve — iterative refinement whose reply
 //! carries the componentwise backward error it achieved.
 //!
 //! Everything is `std`-only; the workspace builds offline with zero
@@ -36,6 +37,7 @@ pub mod conn;
 pub mod engine;
 pub mod fault;
 pub mod fingerprint;
+pub mod frontend;
 pub mod loadgen;
 pub mod poller;
 pub mod protocol;

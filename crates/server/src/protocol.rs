@@ -1,6 +1,7 @@
 //! Length-prefixed binary wire protocol for the solve service.
 //!
-//! Frame format (all integers little-endian, values IEEE-754 bits):
+//! There is one protocol, version 4. Every frame on the wire is
+//! length-prefixed (all integers little-endian, values IEEE-754 bits):
 //!
 //! ```text
 //! | u32 len | u8 opcode | payload (len - 1 bytes) |
@@ -11,7 +12,43 @@
 //! any allocation, which is what lets the server shrug off garbage length
 //! prefixes.
 //!
-//! Request opcodes:
+//! # Framing rule: bare before `OK_HELLO`, enveloped after
+//!
+//! A connection opens with a handshake of two *bare* frames: the peer
+//! sends `HELLO` carrying the highest version it speaks, and the service
+//! answers `OK_HELLO` with `min(theirs, PROTOCOL_VERSION)`. The handshake
+//! stays in the protocol so that a future version can be negotiated; today
+//! the only acceptable outcome is 4. A first frame that is not `HELLO`, or
+//! a `HELLO` offering less than 4, gets one bare `ERR` naming the required
+//! version and the connection closes — there is no downgrade. The only
+//! other bare frame is the `ERR Busy` a full front end writes at accept,
+//! before any handshake.
+//!
+//! After `OK_HELLO`, every frame in *both* directions wraps its payload in
+//! the envelope:
+//!
+//! ```text
+//! | u32 len | u8 opcode | u64 req_id | inner payload | ck_lo u64 | ck_hi u64 |
+//! ```
+//!
+//! `req_id` is chosen by the requester (any 64-bit value; typically a
+//! per-connection counter) and echoed verbatim in the reply, so replies
+//! arrive in completion order and a receiver correlates them by ID. The
+//! 16-byte trailer is the two-lane FNV-1a checksum
+//! [`Fingerprint::of_tagged_bytes`]`(opcode, req_id ‖ inner)`: it covers
+//! the opcode, the request ID, and the payload, so any wire corruption
+//! that slips past TCP (or is injected by the `read.bitflip` /
+//! `write.bitflip` fault sites) is rejected as `ERR Corrupt` instead of
+//! being parsed — length framing alone cannot see a flipped bit.
+//! [`encode_v4`] builds a whole enveloped frame, [`wrap_v4`] just the
+//! enveloped payload, and [`unwrap_v4`] verifies and strips it.
+//!
+//! An `ERR` that belongs to the connection rather than to one request
+//! (bad length prefix, slow-peer timeout) is enveloped like any other
+//! frame and carries [`REQ_ID_NONE`]; so does the `ERR Corrupt` answering
+//! a frame too short to hold an ID.
+//!
+//! Request opcodes (inner payloads):
 //!
 //! | op | name | payload |
 //! |------|----------|---------|
@@ -20,24 +57,23 @@
 //! | 0x03 | STATS    | empty |
 //! | 0x04 | EVICT    | `fingerprint[16]` |
 //! | 0x05 | SHUTDOWN | empty |
-//! | 0x06 | HELLO    | `u16 max_version` (version negotiation, v4) |
+//! | 0x06 | HELLO    | `u16 highest_version` (bare; first frame only) |
 //!
-//! `deadline_ms` (new in protocol version 2) is the client's end-to-end
-//! budget for the request, measured from when the server finishes reading
-//! the frame; `0` means "no preference". The server clamps it to its own
-//! `--deadline-cap-ms`, so a deadline is always in force. A request that
-//! cannot be answered in time gets `ERR Deadline` rather than an answer —
-//! including when it is already boarded in a batch lane (an expired boarder
-//! is expelled at seal time so it cannot stall the batch's other riders).
+//! `deadline_ms` is the client's end-to-end budget for the request,
+//! measured from when the server finishes reading the frame; `0` means
+//! "no preference". The server clamps it to its own `--deadline-cap-ms`,
+//! so a deadline is always in force. A request that cannot be answered in
+//! time gets `ERR Deadline` rather than an answer — including when it is
+//! already boarded in a batch lane (an expired boarder is expelled at seal
+//! time so it cannot stall the batch's other riders).
 //!
-//! The trailing `flags` byte (new in protocol version 3) is optional: a
-//! version-2 SOLVE frame simply omits it, and the server treats the missing
-//! byte as `0`. Bit 0 ([`SOLVE_FLAG_CERTIFIED`]) requests a *certified*
-//! solve: the server runs iterative refinement against the retained original
-//! matrix and the reply carries the refinement certificate. Other bits are
-//! reserved and must be zero.
+//! The trailing `flags` byte is optional: a SOLVE that omits it is treated
+//! as `flags == 0`. Bit 0 ([`SOLVE_FLAG_CERTIFIED`]) requests a *certified*
+//! solve: the server runs iterative refinement against the retained
+//! original matrix and the reply carries the refinement certificate. Other
+//! bits are reserved and must be zero.
 //!
-//! Response opcodes:
+//! Response opcodes (inner payloads):
 //!
 //! | op | name | payload |
 //! |------|------------|---------|
@@ -46,45 +82,9 @@
 //! | 0x83 | OK_STATS   | `u64 count`, then per stat `u16 keylen`, key bytes, `u64 value` |
 //! | 0x84 | OK_EVICTED | `u8 existed`, then optional per-replica outcomes (see below) |
 //! | 0x85 | OK_BYE     | empty |
-//! | 0x86 | OK_HELLO   | `u16 negotiated_version` |
+//! | 0x86 | OK_HELLO   | `u16 negotiated_version` (bare) |
 //! | 0xFF | ERR        | `u16 code`, `u32 msglen`, UTF-8 message, then code-specific extras |
 //!
-//! # Protocol v4: negotiation, request IDs, frame integrity
-//!
-//! A v4 peer opens a connection by sending `HELLO` with the highest
-//! version it speaks; a v4 server replies `OK_HELLO` with
-//! `min(theirs, PROTOCOL_VERSION)`. A v3 server answers the unknown
-//! opcode with `ERR UnknownOpcode` and leaves the connection open, which
-//! *is* the downgrade signal: the caller falls back to the legacy (v3)
-//! framing on the same connection, byte-unchanged. A v2/v3 client simply
-//! never sends `HELLO` and the server keeps speaking v3 to it. `HELLO` is
-//! only legal as the very first frame of a connection.
-//!
-//! Once version ≥ 4 is negotiated, every subsequent frame in *both*
-//! directions wraps its payload in the v4 envelope:
-//!
-//! ```text
-//! | u32 len | u8 opcode | u64 req_id | inner payload | ck_lo u64 | ck_hi u64 |
-//! ```
-//!
-//! `req_id` is chosen by the requester (any 64-bit value; typically a
-//! per-connection counter) and echoed verbatim in the reply, so replies
-//! may legally arrive out of order and a receiver correlates them by ID
-//! instead of FIFO position. The 16-byte trailer is the two-lane FNV-1a
-//! checksum [`Fingerprint::of_tagged_bytes`]`(opcode, req_id ‖ inner)`:
-//! it covers the opcode, the request ID, and the payload, so any wire
-//! corruption that slips past TCP (or is injected by the `read.bitflip` /
-//! `write.bitflip` fault sites) is rejected as `ERR Corrupt` instead of
-//! being parsed — length framing alone cannot see a flipped bit.
-//! [`wrap_v4`] builds the enveloped payload and [`unwrap_v4`] verifies
-//! and strips it.
-//!
-//! `ERR` frames emitted from the event loop's close paths (bad length
-//! prefix, slow-peer timeout, admission-control reject at accept) may
-//! still be legacy-encoded even on a negotiated connection — they can
-//! precede or outlive any specific request. A v4 receiver that fails to
-//! unwrap an `ERR` payload falls back to the legacy [`parse_err`] decode
-//! and treats the error as connection-scoped.
 //! An `ERR` with code [`ErrorCode::Busy`] carries one extra trailing field,
 //! `u64 retry_after_ms` — the server's backoff hint for the shed request.
 //! Other codes carry no extras; decoders must ignore trailing bytes they do
@@ -109,19 +109,20 @@
 //! frame (bad length prefix) produces an `ERR` and then a close, since the
 //! stream can no longer be re-synchronized.
 
-/// Protocol revision implemented by this module. Version 2 added the SOLVE
-/// `deadline_ms` field and error codes 9–12 (`Busy`, `Deadline`,
-/// `NonFinite`, `NumericBreakdown`). Version 3 added the optional SOLVE
-/// `flags` byte (certified solves) and the refinement certificate trailing
-/// the `OK_SOLVED` reply; version-2 frames remain valid. Version 4 added
-/// the `HELLO`/`OK_HELLO` negotiation handshake, the request-ID + checksum
-/// envelope on negotiated connections, and `ERR Corrupt`; un-negotiated
-/// connections keep speaking v3 byte-unchanged.
+/// The protocol revision this module implements, and the only one the
+/// service accepts: `HELLO`/`OK_HELLO` handshake, then the request-ID +
+/// checksum envelope on every frame. Carried in the handshake so a later
+/// revision can be negotiated.
 pub const PROTOCOL_VERSION: u16 = 4;
 
-/// Per-frame envelope overhead on a negotiated v4 connection: the leading
-/// `u64 req_id` plus the 16-byte checksum trailer.
+/// Per-frame envelope overhead: the leading `u64 req_id` plus the 16-byte
+/// checksum trailer.
 pub const V4_ENVELOPE_BYTES: usize = 8 + 16;
+
+/// The request ID of an enveloped frame that answers no particular
+/// request: connection-scoped `ERR`s, and the echo for a frame too damaged
+/// to yield an ID.
+pub const REQ_ID_NONE: u64 = 0;
 
 /// SOLVE `flags` bit 0: run iterative refinement and return the certificate
 /// (`u32 iterations`, `f64 backward_error`, `u8 certified`) after `x`.
@@ -148,7 +149,7 @@ pub mod op {
     pub const EVICT: u8 = 0x04;
     /// Stop the server gracefully.
     pub const SHUTDOWN: u8 = 0x05;
-    /// Version negotiation (v4): `u16 max_version`, first frame only.
+    /// Version handshake: `u16 highest_version`, first frame only.
     pub const HELLO: u8 = 0x06;
     /// Successful LOAD reply.
     pub const OK_LOADED: u8 = 0x81;
@@ -195,8 +196,8 @@ pub enum ErrorCode {
     NonFinite = 11,
     /// The solve produced NaN/Inf output (numeric breakdown).
     NumericBreakdown = 12,
-    /// A v4 frame failed its payload checksum (wire corruption). The
-    /// frame is rejected; the connection stays open.
+    /// A frame failed its payload checksum (wire corruption). The frame
+    /// is rejected; the connection stays open.
     Corrupt = 13,
 }
 
@@ -298,10 +299,10 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<(u8, Vec<u8>)> {
     Ok((head[4], body))
 }
 
-/// A full wire frame (`len | opcode | payload`) as a byte vector, ready to
-/// append to a connection's write buffer. Reply sizes are bounded by
-/// request sizes, so overflow is unreachable in practice; if it ever
-/// happens the peer gets a structured `ERR` instead of a dead worker.
+/// A full *bare* wire frame (`len | opcode | payload`) as a byte vector —
+/// the handshake frames and the pre-handshake `ERR`s; everything after
+/// `OK_HELLO` goes through [`encode_v4`]. An oversized payload becomes a
+/// structured `ERR` instead of a panic.
 pub fn encode_frame(opcode: u8, payload: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(5 + payload.len());
     if write_frame(&mut frame, opcode, payload).is_err() {
@@ -341,25 +342,25 @@ pub fn parse_err(payload: &[u8]) -> Result<(Option<ErrorCode>, String, Option<u6
     Ok((code, msg, retry_after_ms))
 }
 
-/// Why a v4 envelope failed to unwrap.
+/// Why an envelope failed to unwrap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnvelopeError {
-    /// Payload shorter than `req_id` + checksum trailer — not a v4 frame.
+    /// Payload shorter than `req_id` + checksum trailer.
     TooShort,
     /// The checksum trailer does not match the frame contents.
     Checksum,
 }
 
-/// The v4 frame checksum: two-lane FNV-1a over the opcode (as the seed
+/// The frame checksum: two-lane FNV-1a over the opcode (as the seed
 /// word) followed by `req_id ‖ inner payload`, where `enveloped_prefix`
 /// is the wrapped payload *without* its 16-byte trailer.
 fn v4_checksum(opcode: u8, enveloped_prefix: &[u8]) -> Fingerprint {
     Fingerprint::of_tagged_bytes(u64::from(opcode), enveloped_prefix)
 }
 
-/// Wrap an inner payload in the v4 envelope: `req_id` prefix, checksum
-/// trailer. The result is the frame payload to pass to [`write_frame`] /
-/// [`encode_frame`] with the same opcode.
+/// Wrap an inner payload in the envelope: `req_id` prefix, checksum
+/// trailer. The result is the frame payload to pass to [`write_frame`]
+/// with the same opcode.
 pub fn wrap_v4(opcode: u8, req_id: u64, inner: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(V4_ENVELOPE_BYTES + inner.len());
     out.extend_from_slice(&req_id.to_le_bytes());
@@ -370,7 +371,29 @@ pub fn wrap_v4(opcode: u8, req_id: u64, inner: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Verify and strip the v4 envelope, returning `(req_id, inner payload)`.
+/// A full enveloped wire frame (`len | opcode | req_id | inner | trailer`)
+/// as a byte vector, built in place — what every frame after `OK_HELLO`
+/// looks like. Reply sizes are bounded by request sizes, so overflow is
+/// unreachable in practice; if it ever happens the peer gets a structured
+/// `ERR` under the same ID instead of a dead worker.
+pub fn encode_v4(opcode: u8, req_id: u64, inner: &[u8]) -> Vec<u8> {
+    let len = 1 + V4_ENVELOPE_BYTES + inner.len();
+    if len > MAX_FRAME_LEN as usize {
+        let p = err_payload(ErrorCode::Internal, "reply exceeded frame limit", None);
+        return encode_v4(op::ERR, req_id, &p);
+    }
+    let mut frame = Vec::with_capacity(4 + len);
+    frame.extend_from_slice(&(len as u32).to_le_bytes());
+    frame.push(opcode);
+    frame.extend_from_slice(&req_id.to_le_bytes());
+    frame.extend_from_slice(inner);
+    let ck = v4_checksum(opcode, &frame[5..]);
+    frame.extend_from_slice(&ck.0.to_le_bytes());
+    frame.extend_from_slice(&ck.1.to_le_bytes());
+    frame
+}
+
+/// Verify and strip the envelope, returning `(req_id, inner payload)`.
 /// A checksum mismatch means the frame was corrupted in flight (or by a
 /// `*.bitflip` fault site); the caller rejects the *frame* — with
 /// `ERR Corrupt` server-side, a counted drop router-side — and keeps the
@@ -390,14 +413,15 @@ pub fn unwrap_v4(opcode: u8, payload: &[u8]) -> Result<(u64, &[u8]), EnvelopeErr
     Ok((req_id, &payload[8..trailer_at]))
 }
 
-/// Best-effort `req_id` of a v4 payload that failed verification — used
-/// to echo the ID on an `ERR Corrupt` reply. The ID itself sits in the
-/// corrupt region, so it is a hint, not a fact.
+/// Best-effort `req_id` of an enveloped payload that failed verification
+/// — used to echo the ID on an `ERR Corrupt` reply. The ID itself sits in
+/// the corrupt region, so it is a hint, not a fact; a payload too short to
+/// hold one yields [`REQ_ID_NONE`].
 pub fn v4_req_id_hint(payload: &[u8]) -> u64 {
     payload
         .get(..8)
         .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-        .unwrap_or(0)
+        .unwrap_or(REQ_ID_NONE)
 }
 
 /// Incremental little-endian payload reader.
@@ -470,8 +494,8 @@ impl<'a> Cursor<'a> {
             .collect())
     }
 
-    /// Read `n` `f32`s (v2 factor snapshots persist the demoted lane's
-    /// values at their native width).
+    /// Read `n` `f32`s (factor snapshots persist the demoted lane's values
+    /// at their native width).
     pub fn f32_vec(&mut self, n: usize) -> Result<Vec<f32>, String> {
         let raw = self.take(n.checked_mul(4).ok_or("size overflow")?)?;
         Ok(raw
@@ -496,8 +520,8 @@ impl<'a> Cursor<'a> {
     }
 
     /// Unconsumed bytes left in the payload. Lets decoders accept optional
-    /// trailing fields (e.g. the v3 SOLVE `flags` byte) without rejecting
-    /// older, shorter frames.
+    /// trailing fields (e.g. the SOLVE `flags` byte) without rejecting
+    /// shorter frames.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -735,6 +759,13 @@ mod tests {
         // too-short payloads are structurally rejected, id hint survives
         assert_eq!(unwrap_v4(op::SOLVE, &[0; 23]), Err(EnvelopeError::TooShort));
         assert_eq!(v4_req_id_hint(&wrapped), 42);
-        assert_eq!(v4_req_id_hint(&[1]), 0);
+        assert_eq!(v4_req_id_hint(&[1]), REQ_ID_NONE);
+    }
+
+    #[test]
+    fn encode_v4_is_write_frame_of_wrap_v4() {
+        let inner: Vec<u8> = (0..50).collect();
+        let expect = encode_frame(op::OK_SOLVED, &wrap_v4(op::OK_SOLVED, 9, &inner));
+        assert_eq!(encode_v4(op::OK_SOLVED, 9, &inner), expect);
     }
 }

@@ -1,14 +1,14 @@
 //! TCP front end: readiness-driven event loop, solver-worker pool, watchdog.
 //!
-//! One event-loop thread owns every socket: it polls the nonblocking
-//! listener, a wake channel, and all connections through the [`poller`]
-//! abstraction, feeds complete frames from each [`Conn`] state machine into
-//! a job channel, and writes finished replies back out. A fixed pool of
+//! One event-loop thread owns every socket: it polls a wake channel plus
+//! the client-facing [`FrontEnd`] (listener and all connections) through
+//! the [`poller`] abstraction, feeds the requests the front end admits into
+//! a job channel, and hands finished replies back to it. A fixed pool of
 //! solver workers blocks on that channel — a worker blocked inside the
 //! micro-batcher is exactly what lets concurrent requests share a blocked
 //! solve, so `workers` should be at least the target batch size. Requests
-//! pipelined on one connection execute concurrently across workers; replies
-//! are re-sequenced into request order by the connection (see `conn.rs`).
+//! pipelined on one connection execute concurrently across workers and
+//! their replies flush in completion order, correlated by request ID.
 //!
 //! Idle cost is near zero by construction: the loop sleeps in `poll(2)`
 //! until a socket or the waker fires (with a timeout only when a slow-peer
@@ -16,18 +16,14 @@
 //! the watchdog sleeps in `recv()` on worker-exit notices. No thread wakes
 //! on a period.
 //!
-//! Robustness contract (exercised in `tests/service.rs`, `tests/chaos.rs`,
-//! and `tests/frontend.rs`):
+//! Robustness contract (exercised in `tests/service.rs` and
+//! `tests/chaos.rs`). Everything up to a verified request — handshake,
+//! refusals, bad lengths, checksums, slow peers — is the front end's and
+//! documented in `frontend.rs`; from there on:
 //!
-//! * a garbage or oversized length prefix gets an `ERR` reply and a close
-//!   (the stream cannot be re-synchronized);
 //! * a decodable frame with a bad payload (truncated arrays, wrong RHS
 //!   length, unknown fingerprint, unknown opcode) gets a structured `ERR`
 //!   reply and the connection stays open;
-//! * a peer that starts a frame but trickles it in slower than
-//!   `io_timeout` (slow loris) gets `ERR Timeout` and a close — and under
-//!   the event loop it never held a thread to begin with; idle connections
-//!   *between* frames may wait forever;
 //! * a panic anywhere in request handling is caught at the dispatch
 //!   boundary and answered with `ERR Internal`; a panic that escapes a
 //!   worker thread entirely (e.g. the injected `worker.panic` fault) is
@@ -35,20 +31,12 @@
 //!   `STATS worker_respawns`, and closes the connection whose request died
 //!   with the worker so its client can retry on a fresh stream;
 //! * `SHUTDOWN` (or [`RunningServer::shutdown`]) flushes pending replies,
-//!   stops the loop, drains the workers, and joins every thread;
-//! * a `HELLO` first frame negotiates protocol v4 inline in the loop
-//!   (never through the worker pool, so no pipelined enveloped frame can
-//!   race the mode switch): subsequent frames carry a request ID echoed in
-//!   the reply plus a checksum trailer, replies flush in completion order,
-//!   and a frame failing its checksum gets `ERR Corrupt` (counted in
-//!   `STATS crc_rejects`) while the connection keeps serving.
+//!   stops the loop, drains the workers, and joins every thread.
 //!
-//! Every fault-injection site ([`FaultSite`]) on the request path lives in
-//! this file except `solve`/`factor`, which the engine trips: `conn` at
-//! accept, `read` per parsed frame in the loop, `write` and `worker` in the
-//! workers.
+//! Fault-injection sites ([`FaultSite`]) on the request path: `conn` at
+//! accept and `read` per parsed frame live in the front end, `write` and
+//! `worker` in the workers here, `solve`/`factor` in the engine.
 
-use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
@@ -60,13 +48,13 @@ use std::time::{Duration, Instant};
 
 use trisolv_matrix::CscMatrix;
 
-use crate::conn::{Conn, FrameStep, Outcome, ReadStatus};
+use crate::conn::Outcome;
 use crate::engine::{Engine, EngineError, EngineOptions};
 use crate::fault::{FaultAction, FaultPlan, FaultSite};
+use crate::frontend::{FrontEnd, FrontEndConfig, Request};
 use crate::poller::{self, Interest, PollFd, Waker};
 use crate::protocol::{
-    encode_frame, err_payload, op, unwrap_v4, v4_req_id_hint, wrap_v4, write_frame, Builder,
-    Cursor, EnvelopeError, ErrorCode, MAX_FRAME_LEN, PROTOCOL_VERSION, SOLVE_FLAG_CERTIFIED,
+    encode_v4, err_payload, op, Builder, Cursor, ErrorCode, SOLVE_FLAG_CERTIFIED,
 };
 use crate::signal;
 use crate::store::{FactorStore, StoreOptions};
@@ -129,48 +117,23 @@ pub struct RunningServer {
     threads: Vec<JoinHandle<()>>,
 }
 
-/// One parsed request on its way to a solver worker.
-struct Job {
-    conn_id: u64,
-    seq: u64,
-    opcode: u8,
-    payload: Vec<u8>,
-    /// The v4 request ID to echo in the reply envelope; `None` on a legacy
-    /// (un-negotiated) connection, whose replies stay bare v3 frames.
-    wire: Option<u64>,
-    /// When the frame finished arriving; deadlines count from here, not
-    /// from when a worker got around to it.
-    received: Instant,
-}
-
-/// What flows back from workers (and the watchdog) to the event loop.
-enum Completion {
-    /// Request `seq` on `conn_id` resolved.
-    Done {
-        conn_id: u64,
-        seq: u64,
-        outcome: Outcome,
-    },
-    /// A worker died holding this connection's request; the reply will
-    /// never come, so the loop closes the connection and the client's
-    /// retry ladder takes over on a fresh stream.
-    ConnLost { conn_id: u64 },
-}
-
-/// Completions mailbox: workers push, the loop drains; every push wakes
-/// the loop out of `poll`.
+/// Completions mailbox: workers (and the watchdog) push `(conn_id,
+/// outcome)` pairs, the loop drains them into [`FrontEnd::finish`]; every
+/// push wakes the loop out of `poll`.
 struct CompletionQueue {
-    items: Mutex<Vec<Completion>>,
+    items: Mutex<Vec<(u64, Outcome)>>,
     waker: Arc<Waker>,
 }
 
 impl CompletionQueue {
-    fn push(&self, c: Completion) {
-        self.items.lock().unwrap_or_else(|e| e.into_inner()).push(c);
+    fn push(&self, conn_id: u64, outcome: Outcome) {
+        let mut items = self.items.lock().unwrap_or_else(|e| e.into_inner());
+        items.push((conn_id, outcome));
+        drop(items);
         self.waker.wake();
     }
 
-    fn drain(&self) -> Vec<Completion> {
+    fn drain(&self) -> Vec<(u64, Outcome)> {
         std::mem::take(&mut *self.items.lock().unwrap_or_else(|e| e.into_inner()))
     }
 }
@@ -198,7 +161,7 @@ impl Drop for ExitNotice {
 
 /// Everything a solver worker needs.
 struct WorkerCtx {
-    jobs: Arc<Mutex<Receiver<Job>>>,
+    jobs: Arc<Mutex<Receiver<Request>>>,
     completions: Arc<CompletionQueue>,
     engine: Arc<Engine>,
     shutdown: Arc<AtomicBool>,
@@ -227,16 +190,12 @@ impl WorkerCtx {
 
 /// Everything the event loop owns.
 struct LoopCtx {
-    listener: TcpListener,
+    front: FrontEnd,
     wake_rx: TcpStream,
-    jobs_tx: Sender<Job>,
+    jobs_tx: Sender<Request>,
     completions: Arc<CompletionQueue>,
     engine: Arc<Engine>,
     shutdown: Arc<AtomicBool>,
-    fault: FaultPlan,
-    io_timeout: Duration,
-    max_conns: usize,
-    max_pipeline: usize,
 }
 
 /// The service entry point.
@@ -261,7 +220,7 @@ impl Server {
         let shutdown = Arc::new(AtomicBool::new(false));
         let (waker, wake_rx) = poller::wake_pair()?;
         let waker = Arc::new(waker);
-        let (jobs_tx, jobs_rx) = mpsc::channel::<Job>();
+        let (jobs_tx, jobs_rx) = mpsc::channel::<Request>();
         let completions = Arc::new(CompletionQueue {
             items: Mutex::new(Vec::new()),
             waker: Arc::clone(&waker),
@@ -291,17 +250,24 @@ impl Server {
                 .name("tsv-watchdog".to_string())
                 .spawn(move || watchdog_loop(wctx, exit_rx, workers))?,
         );
-        let lctx = LoopCtx {
+        let front = FrontEnd::new(
             listener,
+            FrontEndConfig {
+                io_timeout: opts.io_timeout,
+                max_conns: opts.max_conns,
+                max_pipeline: opts.max_pipeline,
+                busy_retry_ms: engine.retry_after_ms(),
+                fault: opts.fault,
+            },
+            Arc::clone(engine.front_stats()),
+        );
+        let lctx = LoopCtx {
+            front,
             wake_rx,
             jobs_tx,
             completions,
             engine: Arc::clone(&engine),
             shutdown: Arc::clone(&shutdown),
-            fault: opts.fault,
-            io_timeout: opts.io_timeout,
-            max_conns: opts.max_conns,
-            max_pipeline: opts.max_pipeline.max(1),
         };
         threads.push(
             std::thread::Builder::new()
@@ -375,63 +341,45 @@ impl Drop for RunningServer {
 // Event loop
 // ---------------------------------------------------------------------------
 
-/// Positions of the two fixed poll-set entries; connections follow.
-const POLL_LISTENER: usize = 0;
-const POLL_WAKER: usize = 1;
-
 fn event_loop(mut ctx: LoopCtx) {
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut next_id: u64 = 0;
     let mut fds: Vec<PollFd> = Vec::new();
-    let mut ids: Vec<u64> = Vec::new();
+    let mut admitted: Vec<Request> = Vec::new();
     loop {
-        // Finished work first: apply completions, admit buffered frames
-        // into the freed pipeline slots, flush, reap. The extraction pass
-        // here is load-bearing: a burst past `max_pipeline` sits fully
-        // drained into `Conn::read_buf`, where level-triggered poll will
-        // never see it again — completions are the only edge that frees
-        // slots, so completions must re-run the parser.
-        for id in apply_completions(&ctx, &mut conns) {
-            let close = match conns.get_mut(&id) {
-                Some(conn) => {
-                    extract_frames(&ctx, id, conn)
-                        || conn.try_write(ctx.io_timeout).is_err()
-                        || conn.finished()
-                }
-                None => false,
-            };
-            if close {
-                close_conn(&ctx, &mut conns, id);
-            }
-        }
+        // Finished work first: hand completions to the front end, which
+        // admits buffered frames into the freed pipeline slots, flushes,
+        // and reaps.
+        apply_completions(&ctx.completions, &mut ctx.front);
+        ctx.front.resume(&mut admitted);
+        dispatch_admitted(&ctx.jobs_tx, &mut admitted);
         if ctx.shutdown.load(Ordering::SeqCst) || signal::shutdown_requested() {
-            shutdown_drain(&ctx, &mut conns);
+            // let in-flight requests resolve and their replies flush
+            // (bounded), so `SHUTDOWN` clients actually see `OK_BYE`; the
+            // only sleep in this loop runs here, during teardown
+            let deadline = Instant::now() + Duration::from_millis(500);
+            while ctx.front.flush_lap() && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(2));
+                apply_completions(&ctx.completions, &mut ctx.front);
+            }
             // a signal (or SHUTDOWN frame) must not strand a queued
             // snapshot: wait for the write-behind thread to drain
             ctx.engine.flush_store(Duration::from_secs(5));
             return; // drops jobs_tx: workers see disconnect and exit
         }
 
-        // Rebuild the level-triggered poll set.
+        // Rebuild the level-triggered poll set: the waker, then the front
+        // end's listener and connections.
         fds.clear();
-        ids.clear();
-        fds.push(PollFd::new(poller::fd_of(&ctx.listener), Interest::read()));
         fds.push(PollFd::new(poller::fd_of(&ctx.wake_rx), Interest::read()));
-        for (&id, conn) in conns.iter() {
-            fds.push(PollFd::new(
-                poller::fd_of(&conn.stream),
-                Interest {
-                    readable: conn.wants_read(ctx.max_pipeline),
-                    writable: conn.wants_write(),
-                },
-            ));
-            ids.push(id);
-        }
+        let now = Instant::now();
+        ctx.front.push_poll_fds(now, &mut fds);
 
         // Sleep until readiness, the waker, or the nearest deadline. With
         // no deadlines pending this blocks indefinitely: an idle server
         // makes zero wakeups.
-        let timeout = nearest_deadline(&conns);
+        let timeout = ctx
+            .front
+            .nearest_deadline()
+            .map(|d| d.saturating_duration_since(now));
         if poller::wait(&mut fds, timeout).is_err() {
             // poll(2) failures other than EINTR (absorbed by the poller)
             // are exotic; back off so a persistent one cannot spin the loop
@@ -439,303 +387,27 @@ fn event_loop(mut ctx: LoopCtx) {
             continue;
         }
 
-        if fds[POLL_WAKER].ready.readable || fds[POLL_WAKER].ready.hangup {
+        if fds[0].ready.readable || fds[0].ready.hangup {
             poller::drain(&mut ctx.wake_rx);
         }
-        if fds[POLL_LISTENER].ready.readable {
-            accept_ready(&ctx, &mut conns, &mut next_id);
-        }
-
-        let now = Instant::now();
-        let mut dead: Vec<u64> = Vec::new();
-        for (i, &id) in ids.iter().enumerate() {
-            let ready = fds[i + 2].ready;
-            let Some(conn) = conns.get_mut(&id) else {
-                continue;
-            };
-            let mut close = false;
-            if ready.readable || ready.hangup {
-                close = service_input(&ctx, id, conn);
-            }
-            if !close && (ready.writable || conn.wants_write()) {
-                close = conn.try_write(ctx.io_timeout).is_err();
-            }
-            if !close {
-                if conn.read_deadline.is_some_and(|d| now >= d) {
-                    // slow loris: started a frame, trickled it in too slowly
-                    conn.fail_and_close(encode_frame(
-                        op::ERR,
-                        &err_payload(ErrorCode::Timeout, "slow peer: frame stalled", None),
-                    ));
-                    let _ = conn.try_write(ctx.io_timeout);
-                }
-                if conn.write_deadline.is_some_and(|d| now >= d) {
-                    close = true; // peer stopped accepting our replies
-                }
-            }
-            if close || conn.finished() {
-                dead.push(id);
-            }
-        }
-        for id in dead {
-            close_conn(&ctx, &mut conns, id);
-        }
+        ctx.front.service(&fds[1..], Instant::now(), &mut admitted);
+        dispatch_admitted(&ctx.jobs_tx, &mut admitted);
     }
 }
 
-/// Apply queued completions; returns the ids of connections touched.
-fn apply_completions(ctx: &LoopCtx, conns: &mut HashMap<u64, Conn>) -> Vec<u64> {
-    let mut touched = Vec::new();
-    for c in ctx.completions.drain() {
-        match c {
-            Completion::Done {
-                conn_id,
-                seq,
-                outcome,
-            } => {
-                if let Some(conn) = conns.get_mut(&conn_id) {
-                    conn.finish(seq, outcome);
-                    touched.push(conn_id);
-                }
-            }
-            Completion::ConnLost { conn_id } => close_conn(ctx, conns, conn_id),
-        }
-    }
-    touched
-}
-
-/// The soonest pending read/write deadline across all connections, as a
-/// poll timeout; `None` when nothing is pending.
-fn nearest_deadline(conns: &HashMap<u64, Conn>) -> Option<Duration> {
-    let now = Instant::now();
-    let mut timeout: Option<Duration> = None;
-    for conn in conns.values() {
-        for d in [conn.read_deadline, conn.write_deadline]
-            .into_iter()
-            .flatten()
-        {
-            let left = d.saturating_duration_since(now);
-            timeout = Some(timeout.map_or(left, |t| t.min(left)));
-        }
-    }
-    timeout
-}
-
-fn close_conn(ctx: &LoopCtx, conns: &mut HashMap<u64, Conn>, id: u64) {
-    if conns.remove(&id).is_some() {
-        ctx.engine.note_conn_closed();
+/// Hand queued completions to the front end.
+fn apply_completions(completions: &CompletionQueue, front: &mut FrontEnd) {
+    for (conn_id, outcome) in completions.drain() {
+        front.finish(conn_id, outcome);
     }
 }
 
-/// Accept everything the backlog has (the listener is level-triggered, but
-/// draining it now saves poll round-trips under an accept storm).
-fn accept_ready(ctx: &LoopCtx, conns: &mut HashMap<u64, Conn>, next_id: &mut u64) {
-    loop {
-        let stream = match ctx.listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-            // Per-connection accept errors (ECONNABORTED etc.): skip it and
-            // keep draining; a persistent listener error surfaces as
-            // WouldBlock-free repeats, which the next poll absorbs.
-            Err(_) => return,
-        };
-        if ctx.fault.trip(FaultSite::Conn) == Some(FaultAction::Drop) {
-            continue; // spurious connection drop before the first frame
-        }
-        if ctx.max_conns != 0 && conns.len() >= ctx.max_conns {
-            // Best-effort rejection that must not block the loop: the
-            // socket goes nonblocking *before* the write, so a peer that
-            // connects with a full receive window costs one WouldBlock,
-            // not a stalled event loop. The frame is small enough to fit a
-            // fresh send buffer in practice; a peer that misses it still
-            // sees the close.
-            let mut stream = stream;
-            if stream.set_nonblocking(true).is_err() {
-                continue;
-            }
-            let _ = stream.set_nodelay(true);
-            let _ = write_frame(
-                &mut stream,
-                op::ERR,
-                &err_payload(
-                    ErrorCode::Busy,
-                    "connection limit reached",
-                    Some(ctx.engine.retry_after_ms()),
-                ),
-            );
-            continue;
-        }
-        if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-            continue;
-        }
-        let id = *next_id;
-        *next_id += 1;
-        conns.insert(id, Conn::new(stream));
-        ctx.engine.note_conn_open();
-    }
-}
-
-/// Read what the socket has and feed every complete frame to the workers.
-/// Returns `true` when the connection must close immediately.
-fn service_input(ctx: &LoopCtx, id: u64, conn: &mut Conn) -> bool {
-    let status = match conn.read_some() {
-        Ok(s) => s,
-        Err(_) => return true,
-    };
-    if extract_frames(ctx, id, conn) {
-        return true;
-    }
-    if status == ReadStatus::Eof {
-        conn.close_input();
-    }
-    conn.finished()
-}
-
-/// Peel complete frames off the read buffer into pipeline slots and
-/// dispatch them to the workers. Called from `service_input` after a socket
-/// read, and again after completions free in-flight slots — frames past
-/// the pipeline cap (or arriving just before a peer EOF) live only in
-/// `Conn::read_buf`, invisible to `poll`, so slot-freeing is the edge that
-/// must resume parsing. Returns `true` when the connection must close
-/// immediately.
-fn extract_frames(ctx: &LoopCtx, id: u64, conn: &mut Conn) -> bool {
-    let mut extracted = false;
-    while conn.can_extract(ctx.max_pipeline) {
-        match conn.next_frame() {
-            FrameStep::Incomplete => break,
-            FrameStep::BadLength(len) => {
-                // cannot resync the stream after a bad length: reply, close
-                let code = if len > MAX_FRAME_LEN {
-                    ErrorCode::TooLarge
-                } else {
-                    ErrorCode::Malformed
-                };
-                conn.fail_and_close(encode_frame(
-                    op::ERR,
-                    &err_payload(code, &format!("bad frame length {len}"), None),
-                ));
-                break;
-            }
-            FrameStep::Frame {
-                opcode,
-                mut payload,
-            } => {
-                extracted = true;
-                // The read fault site fires per parsed frame, as the old
-                // per-read-attempt site effectively did: a drop severs the
-                // connection mid-stream, a stall stalls the loop — which is
-                // exactly what a stalled read did to the old per-conn thread,
-                // writ service-wide. A bitflip corrupts one payload byte in
-                // flight: the v4 checksum rejects the frame as `ERR Corrupt`;
-                // a legacy connection carries the damage into the decoder.
-                match ctx.fault.trip(FaultSite::Read) {
-                    Some(FaultAction::Drop) => return true,
-                    Some(FaultAction::BitFlip) if !payload.is_empty() => {
-                        let at = payload.len() / 2;
-                        payload[at] ^= 0x20;
-                    }
-                    _ => {}
-                }
-                // Version negotiation: HELLO is only legal as the very
-                // first frame and is answered inline — routing it through
-                // the worker pool would let a pipelined enveloped frame
-                // race the mode switch. Any later HELLO falls through to
-                // dispatch and gets ERR UnknownOpcode, exactly what a v3
-                // server says.
-                if opcode == op::HELLO && !conn.is_v4() && conn.requests_begun() == 0 {
-                    let reply = match Cursor::new(&payload).u16() {
-                        Ok(theirs) => {
-                            let negotiated = theirs.min(PROTOCOL_VERSION);
-                            if negotiated >= 4 {
-                                conn.set_v4();
-                            }
-                            encode_frame(op::OK_HELLO, &Builder::new().u16(negotiated).build())
-                        }
-                        Err(msg) => {
-                            encode_frame(op::ERR, &err_payload(ErrorCode::Malformed, &msg, None))
-                        }
-                    };
-                    conn.enqueue(&reply);
-                    continue;
-                }
-                // Envelope unwrap on a negotiated connection: verify the
-                // checksum trailer before any byte reaches a decoder. A
-                // mismatch rejects the *frame* — ERR Corrupt, counted —
-                // and the connection keeps serving.
-                let mut wire = None;
-                if conn.is_v4() {
-                    match unwrap_v4(opcode, &payload) {
-                        Ok((rid, inner)) => {
-                            let inner = inner.to_vec();
-                            wire = Some(rid);
-                            payload = inner;
-                        }
-                        Err(e) => {
-                            let (code, msg) = match e {
-                                EnvelopeError::Checksum => {
-                                    ctx.engine.note_crc_reject();
-                                    (ErrorCode::Corrupt, "frame failed payload checksum")
-                                }
-                                EnvelopeError::TooShort => {
-                                    (ErrorCode::Malformed, "v4 frame shorter than its envelope")
-                                }
-                            };
-                            let rid = v4_req_id_hint(&payload);
-                            let body = wrap_v4(op::ERR, rid, &err_payload(code, msg, None));
-                            conn.enqueue(&encode_frame(op::ERR, &body));
-                            continue;
-                        }
-                    }
-                }
-                if conn.in_flight > 0 {
-                    ctx.engine.note_frames_pipelined(1);
-                }
-                let seq = conn.begin_request();
-                let job = Job {
-                    conn_id: id,
-                    seq,
-                    opcode,
-                    payload,
-                    wire,
-                    received: Instant::now(),
-                };
-                if ctx.jobs_tx.send(job).is_err() {
-                    return true; // workers gone: shutting down
-                }
-            }
-        }
-    }
-    conn.compact();
-    conn.update_read_deadline(ctx.io_timeout, extracted);
-    false
-}
-
-/// Post-shutdown grace: let in-flight requests resolve and their replies
-/// flush (bounded), so `SHUTDOWN` clients actually see `OK_BYE`. The only
-/// sleep here runs during teardown, never on the idle path.
-fn shutdown_drain(ctx: &LoopCtx, conns: &mut HashMap<u64, Conn>) {
-    let deadline = Instant::now() + Duration::from_millis(500);
-    while !conns.is_empty() && Instant::now() < deadline {
-        apply_completions(ctx, conns);
-        let mut done: Vec<u64> = Vec::new();
-        for (&id, conn) in conns.iter_mut() {
-            if conn.try_write(ctx.io_timeout).is_err()
-                || (!conn.wants_write() && conn.in_flight == 0)
-            {
-                done.push(id);
-            }
-        }
-        for id in done {
-            close_conn(ctx, conns, id);
-        }
-        if conns.is_empty() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    let leftover: Vec<u64> = conns.keys().copied().collect();
-    for id in leftover {
-        close_conn(ctx, conns, id);
+/// Feed the requests the front end admitted to the workers. A send only
+/// fails once the workers are gone, i.e. during shutdown, when the
+/// requests are dropped with their connections anyway.
+fn dispatch_admitted(jobs_tx: &Sender<Request>, admitted: &mut Vec<Request>) {
+    for req in admitted.drain(..) {
+        let _ = jobs_tx.send(req);
     }
 }
 
@@ -767,25 +439,21 @@ fn worker_loop(ctx: &WorkerCtx, slot: usize) {
             let guard = ctx.jobs.lock().unwrap_or_else(|e| e.into_inner());
             guard.recv()
         };
-        let Ok(job) = job else { return };
-        ctx.current[slot].store(job.conn_id + 1, Ordering::Release);
+        let Ok(req) = job else { return };
+        ctx.current[slot].store(req.conn_id + 1, Ordering::Release);
         // The worker fault site panics *outside* dispatch isolation on
         // purpose: it simulates a worker-killing bug and must be
         // survivable only via the watchdog respawn path.
         ctx.fault.trip(FaultSite::Worker);
-        let outcome = serve_job(ctx, &job);
+        let outcome = serve_job(ctx, &req);
         ctx.current[slot].store(0, Ordering::Release);
-        ctx.completions.push(Completion::Done {
-            conn_id: job.conn_id,
-            seq: job.seq,
-            outcome,
-        });
+        ctx.completions.push(req.conn_id, outcome);
     }
 }
 
 /// Dispatch one request and shape the reply, including the `write` fault
 /// site (drop/torn/stall) that used to live at the socket write.
-fn serve_job(ctx: &WorkerCtx, job: &Job) -> Outcome {
+fn serve_job(ctx: &WorkerCtx, req: &Request) -> Outcome {
     // Dispatch isolation: any panic that slips past the engine's own
     // guards becomes ERR Internal on this connection, not a dead worker.
     let dispatched = panic::catch_unwind(AssertUnwindSafe(|| {
@@ -793,9 +461,9 @@ fn serve_job(ctx: &WorkerCtx, job: &Job) -> Outcome {
             &ctx.engine,
             &ctx.shutdown,
             ctx.deadline_cap,
-            job.opcode,
-            &job.payload,
-            job.received,
+            req.opcode,
+            &req.payload,
+            req.received,
         )
     }))
     .unwrap_or_else(|_| Dispatch::Error {
@@ -803,7 +471,7 @@ fn serve_job(ctx: &WorkerCtx, job: &Job) -> Outcome {
         msg: "request handler panicked".to_string(),
         retry_after_ms: None,
     });
-    let (opcode, mut payload, close) = match dispatched {
+    let (opcode, payload, close) = match dispatched {
         Dispatch::Reply(opcode, reply) => (opcode, reply, false),
         Dispatch::Error {
             code,
@@ -812,13 +480,11 @@ fn serve_job(ctx: &WorkerCtx, job: &Job) -> Outcome {
         } => (op::ERR, err_payload(code, &msg, retry_after_ms), false),
         Dispatch::Bye => (op::OK_BYE, Vec::new(), true),
     };
-    // Replies on a negotiated connection echo the request ID and carry the
-    // checksum trailer; the envelope wraps *before* the write fault site so
-    // an injected bitflip lands after the checksum — silent wire corruption
-    // the receiver must catch.
-    if let Some(rid) = job.wire {
-        payload = wrap_v4(opcode, rid, &payload);
-    }
+    // The reply echoes the request ID and carries the checksum trailer;
+    // the frame is sealed *before* the write fault site so an injected
+    // bitflip lands after the checksum — silent wire corruption the
+    // receiver must catch.
+    let mut frame = encode_v4(opcode, req.req_id, &payload);
     // The write fault site: a stall is served in place, a drop closes
     // without writing, a torn write queues a truncated prefix of the real
     // frame and then closes — exactly the partial-frame garbage a crashing
@@ -827,25 +493,17 @@ fn serve_job(ctx: &WorkerCtx, job: &Job) -> Outcome {
     match ctx.fault.trip(FaultSite::Write) {
         Some(FaultAction::Drop) => return Outcome::CloseSilent,
         Some(FaultAction::Torn) => {
-            let frame = encode_frame(opcode, &payload);
-            let cut = (frame.len() / 2).max(1);
-            return Outcome::ReplyThenClose(frame[..cut].to_vec());
+            frame.truncate((frame.len() / 2).max(1));
+            return Outcome::ReplyThenClose(frame);
         }
         Some(FaultAction::BitFlip) => {
-            let mut frame = encode_frame(opcode, &payload);
             // flip inside opcode+payload, never the length prefix (that
             // would desynchronize the stream, which is `torn`'s job)
             let at = 4 + (frame.len() - 4) / 2;
             frame[at] ^= 0x20;
-            return if close {
-                Outcome::ReplyThenClose(frame)
-            } else {
-                Outcome::Reply(frame)
-            };
         }
         _ => {}
     }
-    let frame = encode_frame(opcode, &payload);
     if close {
         Outcome::ReplyThenClose(frame)
     } else {
@@ -874,8 +532,10 @@ fn watchdog_loop(
             ctx.engine.note_worker_respawn();
             let held = ctx.current[exit.slot].swap(0, Ordering::AcqRel);
             if held != 0 {
-                ctx.completions
-                    .push(Completion::ConnLost { conn_id: held - 1 });
+                // the reply will never come: close that connection (after
+                // what is already buffered) so its client's retry ladder
+                // takes over on a fresh stream
+                ctx.completions.push(held - 1, Outcome::CloseSilent);
             }
             workers[exit.slot] = Some(spawn_worker(ctx.clone_for_respawn(), exit.slot));
         } else {
@@ -969,7 +629,7 @@ fn dispatch(
                 let deadline_ms = c.u64()?;
                 let n = c.usize()?;
                 let rhs = c.f64_vec(n)?;
-                // optional v3 flags byte; v2 frames omit it entirely
+                // the flags byte is optional
                 let flags = if c.remaining() > 0 { c.u8()? } else { 0 };
                 c.finish()?;
                 if flags & !SOLVE_FLAG_CERTIFIED != 0 {
@@ -1017,7 +677,7 @@ fn dispatch(
                 ("resident_bytes", s.cache.resident_bytes as u64),
                 // Stable cache-occupancy gauges for the router tier's
                 // balance/placement decisions (aliases of the two above,
-                // which predate the router and keep their legacy names).
+                // which predate the router and keep their names).
                 ("cache_entries", s.cache.entries as u64),
                 ("cache_bytes", s.cache.resident_bytes as u64),
                 ("budget_bytes", engine.options().budget_bytes as u64),

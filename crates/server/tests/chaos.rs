@@ -78,7 +78,6 @@ fn resilient_opts(seed: u64) -> ClientOptions {
         backoff: Duration::from_millis(1),
         max_backoff: Duration::from_millis(20),
         seed,
-        ..ClientOptions::default()
     }
 }
 
@@ -435,5 +434,39 @@ fn overflowing_solve_reports_numeric_breakdown() {
     );
     assert_eq!(server.engine().stats().breakdowns, 1);
     assert!(server.engine().lanes_quiescent());
+    server.join();
+}
+
+/// The `write.bitflip` fault site corrupts server replies *after* the
+/// envelope is sealed, so the client's checksum check must catch every
+/// flipped reply — silent wire corruption cannot become a wrong answer —
+/// and, the stream itself being intact, the same connection serves on.
+#[test]
+fn server_write_bitflips_are_caught_by_the_client_checksum() {
+    let server = chaos_server(ExecMode::Seq, "write.bitflip=every:2");
+    let mut client =
+        Client::connect_with(&server.local_addr().to_string(), ClientOptions::default()).unwrap();
+
+    let a = gen::grid2d_laplacian(5, 5);
+    let reference = SparseCholeskySolver::factor(&a).unwrap();
+    let fp = client.load(&a).unwrap().fingerprint;
+    let b = gen::random_rhs(25, 1, 7);
+    let mut caught = 0;
+    for _ in 0..6 {
+        match client.solve(fp, b.col(0)) {
+            Ok(x) => assert_eq!(x.as_slice(), reference.solve(&b).col(0)),
+            Err(ClientError::Protocol(msg)) if msg.contains("checksum") => caught += 1,
+            Err(e) => panic!("a flipped reply must fail the checksum, got: {e}"),
+        }
+    }
+    assert!(
+        caught >= 2,
+        "every other reply was flipped; caught {caught}"
+    );
+    assert_eq!(
+        client.retry_stats().reconnects,
+        0,
+        "one connection throughout"
+    );
     server.join();
 }

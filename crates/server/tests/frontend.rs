@@ -1,15 +1,19 @@
-//! Event-driven front-end tests: pipelining, idle fan-in, slow-loris
-//! cutoff, torn-frame recovery, and the retry/overflow bug fixes.
+//! Event-driven front-end tests that need a server of their own: idle
+//! fan-in, torn-frame recovery, and the protocol-error retry fix. The
+//! framing contract both tiers share (refusals, slow-loris cut, pipelined
+//! bursts under and past the cap, connection-limit shed) is pinned once,
+//! against the server and the router, in
+//! `crates/router/tests/contract.rs`.
 
-use std::io::{Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+mod common;
+
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use trisolv_core::SparseCholeskySolver;
-use trisolv_matrix::{gen, DenseMatrix};
-use trisolv_server::{protocol, protocol::op, protocol::ErrorCode};
+use trisolv_matrix::gen;
+use trisolv_server::{protocol, protocol::op};
 use trisolv_server::{
     BatchOptions, Client, ClientError, ClientOptions, EngineOptions, ExecMode, FaultPlan, Server,
     ServerOptions,
@@ -30,204 +34,6 @@ fn opts(exec: ExecMode, max_batch: usize, workers: usize) -> ServerOptions {
         },
         ..ServerOptions::default()
     }
-}
-
-/// Tentpole: N SOLVE frames written back-to-back on one connection (no
-/// reads in between) come back in request order, each bit-identical to the
-/// sequential solver on the same input.
-#[test]
-fn pipelined_solves_in_order_bit_identical() {
-    let server = Server::spawn(opts(ExecMode::Seq, 4, 8)).unwrap();
-    let addr = server.local_addr().to_string();
-    let mut client = Client::connect(&addr).unwrap();
-
-    let n = 64;
-    let a = gen::random_spd(n, 5, 321);
-    let reference = SparseCholeskySolver::factor(&a).unwrap();
-    let fp = client.load(&a).unwrap().fingerprint;
-
-    // burst: all requests hit the wire before any reply is read
-    let nreq = 12;
-    let rhs: Vec<DenseMatrix> = (0..nreq).map(|i| gen::random_rhs(n, 1, i as u64)).collect();
-    let mut burst = Vec::new();
-    for b in &rhs {
-        let payload = protocol::Builder::new()
-            .fingerprint(fp)
-            .u64(0)
-            .u64(n as u64)
-            .f64_slice(b.col(0))
-            .build();
-        protocol::write_frame(&mut burst, op::SOLVE, &payload).unwrap();
-    }
-    client.send_raw(&burst).unwrap();
-
-    for (i, b) in rhs.iter().enumerate() {
-        let (opcode, reply) = client.recv_raw().unwrap();
-        assert_eq!(opcode, op::OK_SOLVED, "request {i}");
-        let mut c = protocol::Cursor::new(&reply);
-        let len = c.usize().unwrap();
-        let x = c.f64_vec(len).unwrap();
-        assert_eq!(
-            x.as_slice(),
-            reference.solve(b).col(0),
-            "reply {i} out of order or not bit-identical"
-        );
-    }
-
-    let stats = client.stats().unwrap();
-    let get = |k: &str| stats.iter().find(|(key, _)| key == k).unwrap().1;
-    assert!(get("frames_pipelined") >= 1, "burst never overlapped");
-    assert!(get("connections_total") >= 1);
-    assert!(get("connections_open") >= 1);
-
-    client.shutdown_server().unwrap();
-    server.join();
-}
-
-/// Read one `len | opcode | payload` frame off a raw socket.
-fn read_frame(s: &mut TcpStream) -> std::io::Result<(u8, Vec<u8>)> {
-    let mut len = [0u8; 4];
-    s.read_exact(&mut len)?;
-    let mut body = vec![0u8; u32::from_le_bytes(len) as usize];
-    s.read_exact(&mut body)?;
-    Ok((body[0], body[1..].to_vec()))
-}
-
-/// Regression: a burst larger than `max_pipeline` is drained into the
-/// connection's read buffer by one socket read, where level-triggered poll
-/// can never see it again — admission must resume when completions free
-/// pipeline slots, not on socket readiness. With the cap at 1 the old loop
-/// answered exactly one request and stranded the rest forever; the tentpole
-/// test's 12-frame burst never tripped this because it sat under the
-/// default cap of 64.
-#[test]
-fn burst_past_pipeline_cap_is_fully_answered() {
-    let mut o = opts(ExecMode::Seq, 4, 4);
-    o.max_pipeline = 1;
-    let server = Server::spawn(o).unwrap();
-    let addr = server.local_addr().to_string();
-    // bounded reads so a stranded frame fails the test instead of hanging
-    // it; pinned to the legacy protocol because the burst below is raw
-    // legacy-framed bytes
-    let mut client = Client::connect_with(
-        &addr,
-        ClientOptions {
-            request_timeout: Duration::from_secs(5),
-            max_version: 3,
-            ..ClientOptions::default()
-        },
-    )
-    .unwrap();
-
-    let n = 36;
-    let a = gen::grid2d_laplacian(6, 6);
-    let reference = SparseCholeskySolver::factor(&a).unwrap();
-    let fp = client.load(&a).unwrap().fingerprint;
-
-    let nreq = 8;
-    let rhs: Vec<DenseMatrix> = (0..nreq)
-        .map(|i| gen::random_rhs(n, 1, 100 + i as u64))
-        .collect();
-    let mut burst = Vec::new();
-    for b in &rhs {
-        let payload = protocol::Builder::new()
-            .fingerprint(fp)
-            .u64(0)
-            .u64(n as u64)
-            .f64_slice(b.col(0))
-            .build();
-        protocol::write_frame(&mut burst, op::SOLVE, &payload).unwrap();
-    }
-    client.send_raw(&burst).unwrap();
-    for (i, b) in rhs.iter().enumerate() {
-        let (opcode, reply) = client
-            .recv_raw()
-            .unwrap_or_else(|e| panic!("request {i} stranded past the pipeline cap: {e}"));
-        assert_eq!(opcode, op::OK_SOLVED, "request {i}");
-        let mut c = protocol::Cursor::new(&reply);
-        let len = c.usize().unwrap();
-        assert_eq!(
-            c.f64_vec(len).unwrap().as_slice(),
-            reference.solve(b).col(0),
-            "reply {i} out of order"
-        );
-    }
-
-    // EOF variant: the whole burst lands and the peer half-closes before
-    // reading a single reply. Frames already in userspace owe nothing to
-    // the socket — every one must still be answered, then the server
-    // closes. The old loop silently dropped everything past the cap here.
-    let mut raw = TcpStream::connect(&addr).unwrap();
-    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    raw.write_all(&burst).unwrap();
-    raw.shutdown(Shutdown::Write).unwrap();
-    for i in 0..nreq {
-        let (opcode, _) =
-            read_frame(&mut raw).unwrap_or_else(|e| panic!("request {i} dropped at peer EOF: {e}"));
-        assert_eq!(opcode, op::OK_SOLVED, "request {i} after half-close");
-    }
-    let mut probe = [0u8; 1];
-    assert_eq!(
-        raw.read(&mut probe).unwrap_or(0),
-        0,
-        "server must close once the flush drains"
-    );
-
-    client.shutdown_server().unwrap();
-    server.join();
-}
-
-/// Regression: rejecting a connection over `max_conns` must never block
-/// the event loop — the `ERR Busy` write is best-effort on a nonblocking
-/// socket, so peers that connect and never read cannot stall service for
-/// the admitted connection.
-#[test]
-fn conn_limit_rejection_never_blocks_the_loop() {
-    let mut o = opts(ExecMode::Threaded, 4, 4);
-    o.max_conns = 1;
-    let server = Server::spawn(o).unwrap();
-    let addr = server.local_addr().to_string();
-
-    let mut client = Client::connect_with(
-        &addr,
-        ClientOptions {
-            request_timeout: Duration::from_secs(5),
-            ..ClientOptions::default()
-        },
-    )
-    .unwrap();
-    let a = gen::grid2d_laplacian(6, 6);
-    let fp = client.load(&a).unwrap().fingerprint;
-
-    // peers that connect but never read a byte
-    let rejected: Vec<TcpStream> = (0..8)
-        .map(|_| TcpStream::connect(&addr).expect("reject connect"))
-        .collect();
-
-    // the admitted connection keeps being served promptly
-    for seed in 0..4 {
-        let b = gen::random_rhs(36, 1, seed);
-        assert_eq!(client.solve(fp, b.col(0)).unwrap().len(), 36);
-    }
-
-    // each rejected peer got the best-effort ERR Busy, then a close
-    for (i, mut s) in rejected.into_iter().enumerate() {
-        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let (opcode, payload) = read_frame(&mut s)
-            .unwrap_or_else(|e| panic!("rejected peer {i} never got ERR Busy: {e}"));
-        assert_eq!(opcode, op::ERR, "peer {i}");
-        let mut c = protocol::Cursor::new(&payload);
-        assert_eq!(c.u16().unwrap(), ErrorCode::Busy as u16, "peer {i}");
-        let mut probe = [0u8; 1];
-        assert_eq!(
-            s.read(&mut probe).unwrap_or(0),
-            0,
-            "peer {i} must be closed"
-        );
-    }
-
-    client.shutdown_server().unwrap();
-    server.join();
 }
 
 /// Satellite: hundreds of idle connections must not consume solver workers.
@@ -259,40 +65,6 @@ fn many_idle_connections_dont_starve_service() {
     }
 
     drop(idle);
-    client.shutdown_server().unwrap();
-    server.join();
-}
-
-/// Satellite: a peer that starts a frame and stalls is cut loose with
-/// `ERR Timeout` once the io budget expires — re-pinned against the event
-/// loop's read-deadline path.
-#[test]
-fn slow_loris_is_cut_loose() {
-    let mut o = opts(ExecMode::Threaded, 4, 4);
-    o.io_timeout = Duration::from_millis(200);
-    let server = Server::spawn(o).unwrap();
-    let addr = server.local_addr().to_string();
-
-    let mut loris = Client::connect(&addr).unwrap();
-    // length says 20 bytes; send the prefix plus two bytes and stall
-    let mut partial = 20u32.to_le_bytes().to_vec();
-    partial.extend_from_slice(&[op::SOLVE, 0x00]);
-    loris.send_raw(&partial).unwrap();
-
-    let (opcode, payload) = loris.recv_raw().expect("ERR Timeout before close");
-    assert_eq!(opcode, op::ERR);
-    let mut c = protocol::Cursor::new(&payload);
-    assert_eq!(c.u16().unwrap(), ErrorCode::Timeout as u16);
-    // ...and the connection is then closed
-    assert!(loris.recv_raw().is_err());
-
-    // a well-behaved client is untouched
-    let mut client = Client::connect(&addr).unwrap();
-    let a = gen::grid2d_laplacian(6, 6);
-    let fp = client.load(&a).unwrap().fingerprint;
-    let b = gen::random_rhs(36, 1, 3);
-    assert_eq!(client.solve(fp, b.col(0)).unwrap().len(), 36);
-
     client.shutdown_server().unwrap();
     server.join();
 }
@@ -333,75 +105,19 @@ fn torn_frame_reply_recovers_via_reconnect() {
     server.join();
 }
 
-/// Satellite bugfix: a LOAD header with `ncols == u64::MAX` used to compute
-/// `ncols + 1` unchecked (a debug-build panic answered `ERR Internal`); it
-/// must be a structured `ERR Malformed` with the connection still usable.
-#[test]
-fn load_ncols_overflow_is_malformed() {
-    let server = Server::spawn(opts(ExecMode::Threaded, 4, 4)).unwrap();
-    let addr = server.local_addr().to_string();
-    let mut client = Client::connect(&addr).unwrap();
-
-    let payload = protocol::Builder::new()
-        .u64(1)
-        .u64(u64::MAX) // ncols: ncols + 1 overflows
-        .u64(0)
-        .build();
-    let mut frame = Vec::new();
-    protocol::write_frame(&mut frame, op::LOAD, &payload).unwrap();
-    client.send_raw(&frame).unwrap();
-    let (opcode, reply) = client.recv_raw().unwrap();
-    assert_eq!(opcode, op::ERR);
-    let mut c = protocol::Cursor::new(&reply);
-    assert_eq!(
-        c.u16().unwrap(),
-        ErrorCode::Malformed as u16,
-        "overflow must be a malformed request, not an internal error"
-    );
-
-    // the connection survives and still serves
-    let a = gen::grid2d_laplacian(5, 5);
-    let fp = client.load(&a).unwrap().fingerprint;
-    let b = gen::random_rhs(25, 1, 9);
-    assert_eq!(client.solve(fp, b.col(0)).unwrap().len(), 25);
-
-    client.shutdown_server().unwrap();
-    server.join();
+/// A hostile "server": completes the handshake, then answers every
+/// request with a well-framed reply carrying an opcode no client knows.
+/// Returns its address, its connection count, and the opcodes it received.
+fn garbage_opcode_server() -> (String, Arc<AtomicUsize>, Arc<Mutex<Vec<u8>>>) {
+    common::stub_peer(common::ok_hello, |_, _| {
+        protocol::encode_frame(0x60, &[0xAA; 4])
+    })
 }
 
-/// A minimal hostile "server" that answers every frame with a valid frame
-/// carrying a garbage opcode, counting connections and frames served.
-fn garbage_opcode_server() -> (String, Arc<AtomicUsize>, Arc<AtomicUsize>) {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    let conns = Arc::new(AtomicUsize::new(0));
-    let frames = Arc::new(AtomicUsize::new(0));
-    let (c, f) = (Arc::clone(&conns), Arc::clone(&frames));
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(mut stream) = stream else { break };
-            c.fetch_add(1, Ordering::SeqCst);
-            loop {
-                let mut len = [0u8; 4];
-                if stream.read_exact(&mut len).is_err() {
-                    break;
-                }
-                let mut body = vec![0u8; u32::from_le_bytes(len) as usize];
-                if stream.read_exact(&mut body).is_err() {
-                    break;
-                }
-                f.fetch_add(1, Ordering::SeqCst);
-                // valid framing, nonsense opcode: the client can parse the
-                // frame but not interpret the reply
-                let mut reply = Vec::new();
-                protocol::write_frame(&mut reply, 0x60, &[0xAA; 4]).unwrap();
-                if stream.write_all(&reply).is_err() {
-                    break;
-                }
-            }
-        }
-    });
-    (addr, conns, frames)
+/// How many of the frames a stub received were requests (not `HELLO`s).
+fn requests(seen: &Mutex<Vec<u8>>) -> usize {
+    let seen = seen.lock().unwrap();
+    seen.iter().filter(|&&o| o != op::HELLO).count()
 }
 
 /// Satellite bugfix: a `Protocol` error means the stream may be
@@ -410,7 +126,7 @@ fn garbage_opcode_server() -> (String, Arc<AtomicUsize>, Arc<AtomicUsize>) {
 /// retried on the same socket up to `retries` times.
 #[test]
 fn protocol_errors_retry_once_on_a_fresh_connection_only() {
-    let (addr, conns, frames) = garbage_opcode_server();
+    let (addr, conns, seen) = garbage_opcode_server();
     let fp = trisolv_server::Fingerprint(1, 2);
 
     // reconnect-capable client: attempt on conn 1, reconnect, attempt on
@@ -421,28 +137,21 @@ fn protocol_errors_retry_once_on_a_fresh_connection_only() {
             retries: 5,
             backoff: Duration::from_millis(1),
             request_timeout: Duration::from_secs(2),
-            // the fake server answers everything (a HELLO included) with
-            // garbage; pin legacy so construction reaches the retry ladder
-            max_version: 3,
             ..ClientOptions::default()
         },
     )
     .unwrap();
     let err = client.solve_with_retry(fp, &[1.0, 2.0], 0).unwrap_err();
     assert!(matches!(err, ClientError::Protocol(_)), "{err:?}");
-    assert_eq!(
-        frames.load(Ordering::SeqCst),
-        2,
-        "must not retry a desynchronized stream"
-    );
+    assert_eq!(requests(&seen), 2, "must not retry a desynchronized stream");
     assert_eq!(conns.load(Ordering::SeqCst), 2);
     assert_eq!(client.retry_stats().reconnects, 1);
 
     // a client with no retained address cannot reconnect: one attempt, done
-    let (addr2, conns2, frames2) = garbage_opcode_server();
+    let (addr2, conns2, seen2) = garbage_opcode_server();
     let mut bare = Client::connect(&addr2).unwrap();
     let err = bare.solve_with_retry(fp, &[1.0], 0).unwrap_err();
     assert!(matches!(err, ClientError::Protocol(_)), "{err:?}");
-    assert_eq!(frames2.load(Ordering::SeqCst), 1);
+    assert_eq!(requests(&seen2), 1);
     assert_eq!(conns2.load(Ordering::SeqCst), 1);
 }

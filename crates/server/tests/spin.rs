@@ -1,41 +1,30 @@
 //! Regression: an expired read deadline behind an in-flight solve must not
 //! busy-spin the event loop.
 //!
-//! When a slow-loris deadline expires while an earlier request on the same
-//! connection is still in flight, the `ERR Timeout` outcome waits in the
-//! reorder map behind the in-flight sequence number. The old loop left the
-//! expired deadline armed, so `nearest_deadline` kept returning ~zero and
-//! the loop spun at a zero poll timeout — re-queueing a fresh error outcome
-//! every lap and burning a full core until the solve resolved (up to
-//! `deadline_cap`, 30 s by default, off one trivially hostile client).
-//! `fail_and_close` now disarms the deadline and kills the input side on
-//! the first firing, so the loop parks until the completion arrives.
+//! A slow-loris deadline can expire while an earlier request on the same
+//! connection is still in flight. An early loop left the expired deadline
+//! armed while its `ERR Timeout` waited its turn behind that request, so
+//! the nearest-deadline scan kept returning ~zero and the loop spun at a
+//! zero poll timeout, burning a full core until the solve resolved (up to
+//! `deadline_cap`, 30 s by default, off one trivially hostile client). The
+//! cut now disarms the deadline, answers at once and closes; the loop
+//! parks until the stalled solve's completion arrives and is dropped.
 //!
 //! Lives in its own integration-test binary so the `/proc/self` CPU
 //! accounting sees only this server's threads.
 
 #![cfg(target_os = "linux")]
 
+mod common;
+
+use std::io::Write;
 use std::time::Duration;
 
 use trisolv_matrix::gen;
 use trisolv_server::{
-    protocol, protocol::op, protocol::ErrorCode, Client, ClientOptions, EngineOptions, ExecMode,
-    FaultPlan, Server, ServerOptions,
+    protocol, protocol::op, protocol::ErrorCode, Client, EngineOptions, ExecMode, FaultPlan,
+    Server, ServerOptions,
 };
-
-/// This process's total CPU time (utime + stime) in milliseconds.
-fn process_cpu_ms() -> u64 {
-    let stat = std::fs::read_to_string("/proc/self/stat").expect("linux procfs");
-    // fields after the parenthesized comm, so spaces in the name are safe;
-    // utime/stime are fields 14/15 (1-indexed), i.e. 11/12 from field 3
-    let rest = &stat[stat.rfind(')').expect("stat comm") + 2..];
-    let fields: Vec<&str> = rest.split_whitespace().collect();
-    let utime: u64 = fields[11].parse().expect("utime");
-    let stime: u64 = fields[12].parse().expect("stime");
-    // USER_HZ is 100 on every mainstream Linux configuration
-    (utime + stime) * 1000 / 100
-}
 
 #[test]
 fn expired_deadline_behind_inflight_solve_does_not_spin() {
@@ -55,60 +44,44 @@ fn expired_deadline_behind_inflight_solve_does_not_spin() {
     .unwrap();
     let addr = server.local_addr().to_string();
 
-    let mut client = Client::connect_with(
-        &addr,
-        ClientOptions {
-            request_timeout: Duration::from_secs(10),
-            // the hand-built frames below are legacy-framed
-            max_version: 3,
-            ..ClientOptions::default()
-        },
-    )
-    .unwrap();
     let n = 25;
     let a = gen::grid2d_laplacian(5, 5);
-    let fp = client.load(&a).unwrap().fingerprint;
+    let fp = Client::connect(&addr)
+        .unwrap()
+        .load(&a)
+        .unwrap()
+        .fingerprint;
 
     // one complete SOLVE (goes in flight and stalls in the executor), then
     // a partial frame that never finishes — and the client goes silent
     let b = gen::random_rhs(n, 1, 7);
-    let payload = protocol::Builder::new()
-        .fingerprint(fp)
-        .u64(0)
-        .u64(n as u64)
-        .f64_slice(b.col(0))
-        .build();
-    let mut bytes = Vec::new();
-    protocol::write_frame(&mut bytes, op::SOLVE, &payload).unwrap();
-    bytes.extend_from_slice(&20u32.to_le_bytes());
+    let mut raw = common::hello(&addr);
+    let mut bytes = protocol::encode_v4(op::SOLVE, 1, &common::solve_payload(fp, b.col(0)));
+    bytes.extend_from_slice(&40u32.to_le_bytes());
     bytes.extend_from_slice(&[op::SOLVE, 0x00]);
-    client.send_raw(&bytes).unwrap();
+    raw.write_all(&bytes).unwrap();
 
     // let the 200 ms read deadline fire and the dust settle, then measure
     // CPU across a window where the loop has nothing to do but wait for
     // the stalled solve
     std::thread::sleep(Duration::from_millis(600));
-    let before = process_cpu_ms();
+    let before = common::process_cpu_ms("self");
     std::thread::sleep(Duration::from_millis(1200));
-    let spent = process_cpu_ms() - before;
+    let spent = common::process_cpu_ms("self") - before;
     assert!(
         spent < 300,
         "event loop burned {spent} ms of CPU in a 1200 ms wait window; \
          the expired read deadline is spinning the loop"
     );
 
-    // protocol behavior: the in-flight solve still answers, then exactly
-    // one ERR Timeout for the stalled frame, then the close
-    let (opcode, _) = client.recv_raw().expect("in-flight solve reply");
-    assert_eq!(opcode, op::OK_SOLVED);
-    let (opcode, payload) = client.recv_raw().expect("timeout error frame");
+    // protocol behavior: exactly one ERR Timeout, owned by the connection
+    // rather than by a request, then the close; the stalled solve's reply
+    // dies with the connection
+    let (opcode, req_id, inner) = common::recv(&mut raw).expect("timeout error frame");
     assert_eq!(opcode, op::ERR);
-    let mut c = protocol::Cursor::new(&payload);
-    assert_eq!(c.u16().unwrap(), ErrorCode::Timeout as u16);
-    assert!(
-        client.recv_raw().is_err(),
-        "connection must close after ERR"
-    );
+    assert_eq!(req_id, protocol::REQ_ID_NONE);
+    assert_eq!(common::err_code(&inner), ErrorCode::Timeout);
+    common::assert_closed(&mut raw);
 
     server.shutdown();
     server.join();

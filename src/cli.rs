@@ -191,7 +191,7 @@ pub enum Command {
         /// Extra connections opened before the run and held idle through it
         /// (connection-scaling smoke; see the event-driven front end).
         idle_conns: usize,
-        /// Issue one certified SOLVE (protocol v3 certify flag) after the
+        /// Issue one certified SOLVE (the SOLVE certify flag) after the
         /// load and print the server's refinement certificate.
         certify: bool,
         /// Print the server's STATS counters after the run.
