@@ -68,9 +68,10 @@ use trisolv_server::conn::{Conn, FrameStep, Outcome, ReadStatus};
 use trisolv_server::frontend::{self, FrontEnd, FrontEndConfig, FrontStats};
 use trisolv_server::poller::{self, Interest, PollFd, Waker};
 use trisolv_server::protocol::{
-    encode_frame, encode_v4, err_payload, op, parse_err, unwrap_v4, Builder, Cursor, ErrorCode,
-    PROTOCOL_VERSION,
+    decode_load, decode_stats, encode_frame, encode_stats, encode_v4, err_payload, op, parse_err,
+    unwrap_v4, Builder, Cursor, ErrorCode, PROTOCOL_VERSION,
 };
+use trisolv_server::stats::bump;
 use trisolv_server::{FaultPlan, Fingerprint};
 
 use crate::backend::{Backend, Retained, SubReq};
@@ -133,23 +134,49 @@ impl Default for RouterOptions {
 }
 
 /// Gauges shared between the loop thread and [`RunningRouter`].
+#[derive(Default)]
 struct Shared {
     healthy: AtomicUsize,
-    requests: AtomicU64,
-    failovers: AtomicU64,
-    rejoins: AtomicU64,
-    hedges_sent: AtomicU64,
-    hedge_wins: AtomicU64,
+    /// The `live` rows of the router's STATS table.
+    counters: Counters,
     /// Backend replies that failed their checksum.
-    crc_rejects: AtomicU64,
-    orphan_replies: AtomicU64,
+    backend_crc_rejects: AtomicU64,
     /// The client-facing front end's counters.
     front: Arc<FrontStats>,
 }
 
 impl Shared {
     fn crc_rejects(&self) -> u64 {
-        self.crc_rejects.load(Ordering::Acquire) + self.front.crc_rejects.load(Ordering::Acquire)
+        load(&self.backend_crc_rejects) + load(&self.front.crc_rejects)
+    }
+}
+
+/// Read a counter the loop thread bumps.
+fn load(counter: &AtomicU64) -> u64 {
+    counter.load(Ordering::Acquire)
+}
+
+trisolv_server::stats_table! {
+    impl RouterLoop {
+        counters: Counters at shared.counters,
+        snapshot: fn stats,
+        pairs: fn stats_pairs,
+    }
+    /// The router's own `STATS` keys, appended after the fleet sum in
+    /// table order; README.md's STATS table describes each.
+    struct RouterStats {
+        wire router_backends = |r, _| r.backends.len() as u64;
+        wire router_backends_healthy =
+            |r, _| r.backends.iter().filter(|b| b.usable()).count() as u64;
+        live router_failovers: u64;
+        live router_rejoins: u64;
+        live router_requests: u64;
+        wire router_retained_loads = |r, _| r.retained.len() as u64;
+        wire router_retained_bytes = |r, _| r.retained.bytes() as u64;
+        live router_hedges_sent: u64;
+        live router_hedge_wins: u64;
+        read router_crc_rejects: u64 = |r| r.shared.crc_rejects();
+        live router_orphan_replies: u64;
     }
 }
 
@@ -182,17 +209,7 @@ impl Router {
         let shutdown = Arc::new(AtomicBool::new(false));
         let (waker, wake_rx) = poller::wake_pair()?;
         let waker = Arc::new(waker);
-        let shared = Arc::new(Shared {
-            healthy: AtomicUsize::new(0),
-            requests: AtomicU64::new(0),
-            failovers: AtomicU64::new(0),
-            rejoins: AtomicU64::new(0),
-            hedges_sent: AtomicU64::new(0),
-            hedge_wins: AtomicU64::new(0),
-            crc_rejects: AtomicU64::new(0),
-            orphan_replies: AtomicU64::new(0),
-            front: Arc::default(),
-        });
+        let shared = Arc::new(Shared::default());
         let (dial_tx, dial_rx) = mpsc::channel::<Dial>();
         let dials = Arc::new(DialQueue {
             items: Mutex::new(Vec::new()),
@@ -270,17 +287,17 @@ impl RunningRouter {
 
     /// SOLVE re-routes performed so far (replica failovers).
     pub fn failovers(&self) -> u64 {
-        self.shared.failovers.load(Ordering::Acquire)
+        load(&self.shared.counters.router_failovers)
     }
 
     /// Hedge duplicates dispatched so far.
     pub fn hedges_sent(&self) -> u64 {
-        self.shared.hedges_sent.load(Ordering::Acquire)
+        load(&self.shared.counters.router_hedges_sent)
     }
 
     /// Requests answered by a hedge duplicate rather than the primary.
     pub fn hedge_wins(&self) -> u64 {
-        self.shared.hedge_wins.load(Ordering::Acquire)
+        load(&self.shared.counters.router_hedge_wins)
     }
 
     /// Frames rejected for a payload-checksum mismatch (corrupt backend
@@ -292,7 +309,7 @@ impl RunningRouter {
     /// Backend replies that correlated to nothing (duplicates, or replies
     /// landing after their sub-request expired) — dropped, not fatal.
     pub fn orphan_replies(&self) -> u64 {
-        self.shared.orphan_replies.load(Ordering::Acquire)
+        load(&self.shared.counters.router_orphan_replies)
     }
 
     /// Block until at least `min` backends are `Healthy`, up to `timeout`.
@@ -317,11 +334,9 @@ impl RunningRouter {
     }
 
     /// Signal shutdown and join every thread.
-    pub fn join(mut self) {
+    pub fn join(self) {
         self.shutdown();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+        self.wait();
     }
 
     /// Block until the router shuts down (via a `SHUTDOWN` frame or a
@@ -629,7 +644,7 @@ impl RouterLoop {
     /// `hedges_sent + 1 ≤ ceil(hedge_budget · solve_subs_sent)`?
     fn hedge_budget_allows(&self) -> bool {
         let cap = (self.opts.hedge_budget * self.solve_subs_sent as f64).ceil() as u64;
-        self.shared.hedges_sent.load(Ordering::Relaxed) < cap
+        load(&self.shared.counters.router_hedges_sent) < cap
     }
 
     fn start_due_dials(&mut self, now: Instant) {
@@ -706,7 +721,7 @@ impl RouterLoop {
                 self.backends[d.idx].note_connected();
                 self.backends[d.idx].hello_deadline =
                     Some(now + self.opts.io_timeout.max(Duration::from_secs(1)));
-                self.shared.rejoins.fetch_add(1, Ordering::Relaxed);
+                bump(&self.shared.counters.router_rejoins, 1);
             }
         }
     }
@@ -814,7 +829,7 @@ impl RouterLoop {
                     // count and drop. The owning sub-request runs into its
                     // own expiry.
                     Err(_) => {
-                        self.shared.crc_rejects.fetch_add(1, Ordering::Relaxed);
+                        bump(&self.shared.backend_crc_rejects, 1);
                     }
                 }
             }
@@ -850,7 +865,7 @@ impl RouterLoop {
             // to nothing. Ids never reuse, so dropping it is safe and the
             // connection keeps serving — condemning it here would turn one
             // stray frame into a full teardown and a rejoin storm.
-            self.shared.orphan_replies.fetch_add(1, Ordering::Relaxed);
+            bump(&self.shared.counters.router_orphan_replies, 1);
             return;
         };
         // The adaptive hedge threshold learns from replies that *served* a
@@ -877,7 +892,7 @@ impl RouterLoop {
                     match opcode {
                         op::OK_SOLVED => {
                             if sub.hedge {
-                                self.shared.hedge_wins.fetch_add(1, Ordering::Relaxed);
+                                bump(&self.shared.counters.router_hedge_wins, 1);
                             }
                             Step::Reply(op::OK_SOLVED, payload)
                         }
@@ -991,7 +1006,7 @@ impl RouterLoop {
                 }
             }
             Step::Retry => {
-                self.shared.failovers.fetch_add(1, Ordering::Relaxed);
+                bump(&self.shared.counters.router_failovers, 1);
                 self.try_send_solve(rid, now);
             }
             Step::StatsDone(acc) => {
@@ -1144,7 +1159,7 @@ impl RouterLoop {
                         // when no request ever reached it
                         skipped += 1;
                     }
-                    self.shared.failovers.fetch_add(skipped, Ordering::Relaxed);
+                    bump(&self.shared.counters.router_failovers, skipped);
                     match chosen {
                         Some(b) => {
                             *subs += 1;
@@ -1240,7 +1255,7 @@ impl RouterLoop {
                 chosen.map(|b| {
                     // replicas skipped here are consumed exactly as the
                     // failover path consumes them, so count them the same
-                    self.shared.failovers.fetch_add(skipped, Ordering::Relaxed);
+                    bump(&self.shared.counters.router_failovers, skipped);
                     *next = i;
                     *hedged = true;
                     *subs += 1;
@@ -1256,7 +1271,7 @@ impl RouterLoop {
             }
         };
         if let Some(h) = action {
-            self.shared.hedges_sent.fetch_add(1, Ordering::Relaxed);
+            bump(&self.shared.counters.router_hedges_sent, 1);
             self.send_sub(
                 h.b,
                 op::SOLVE,
@@ -1295,7 +1310,7 @@ impl RouterLoop {
     }
 
     fn dispatch_client(&mut self, req: frontend::Request, now: Instant) {
-        self.shared.requests.fetch_add(1, Ordering::Relaxed);
+        bump(&self.shared.counters.router_requests, 1);
         let to = Origin {
             client: req.conn_id,
             cwire: req.req_id,
@@ -1449,48 +1464,9 @@ impl RouterLoop {
 
     /// The fleet STATS view: summed backend counters plus `router_*` keys.
     fn stats_reply_payload(&self, acc: &BTreeMap<String, u64>) -> Vec<u8> {
-        let router_pairs: [(&str, u64); 11] = [
-            ("router_backends", self.backends.len() as u64),
-            (
-                "router_backends_healthy",
-                self.backends.iter().filter(|b| b.usable()).count() as u64,
-            ),
-            (
-                "router_failovers",
-                self.shared.failovers.load(Ordering::Relaxed),
-            ),
-            (
-                "router_rejoins",
-                self.shared.rejoins.load(Ordering::Relaxed),
-            ),
-            (
-                "router_requests",
-                self.shared.requests.load(Ordering::Relaxed),
-            ),
-            ("router_retained_loads", self.retained.len() as u64),
-            ("router_retained_bytes", self.retained.bytes() as u64),
-            (
-                "router_hedges_sent",
-                self.shared.hedges_sent.load(Ordering::Relaxed),
-            ),
-            (
-                "router_hedge_wins",
-                self.shared.hedge_wins.load(Ordering::Relaxed),
-            ),
-            ("router_crc_rejects", self.shared.crc_rejects()),
-            (
-                "router_orphan_replies",
-                self.shared.orphan_replies.load(Ordering::Relaxed),
-            ),
-        ];
-        let mut b = Builder::new().u64((acc.len() + router_pairs.len()) as u64);
-        for (key, val) in acc {
-            b = b.u16(key.len() as u16).bytes(key.as_bytes()).u64(*val);
-        }
-        for (key, val) in router_pairs {
-            b = b.u16(key.len() as u16).bytes(key.as_bytes()).u64(val);
-        }
-        b.build()
+        let fleet = acc.iter().map(|(key, val)| (key.as_str(), *val));
+        let pairs: Vec<(&str, u64)> = fleet.chain(self.stats_pairs()).collect();
+        encode_stats(&pairs)
     }
 }
 
@@ -1510,12 +1486,8 @@ fn retry_hint_ms(probe_interval: Duration) -> u64 {
 fn effective_budget(client_ms: u64, cap: Duration) -> Duration {
     let client = (client_ms > 0).then(|| Duration::from_millis(client_ms));
     let cap = (!cap.is_zero()).then_some(cap);
-    match (client, cap) {
-        (Some(c), Some(k)) => c.min(k),
-        (Some(c), None) => c,
-        (None, Some(k)) => k,
-        (None, None) => Duration::from_secs(60),
-    }
+    let budget = client.into_iter().chain(cap).min();
+    budget.unwrap_or(Duration::from_secs(60))
 }
 
 /// A backend's `ERR` payload as an error triple; an undecodable one (or
@@ -1567,15 +1539,7 @@ fn evict_reply(existed: bool, outcomes: &[(usize, u8)], addrs: &[String]) -> Vec
 /// Sum one backend's `OK_STATS` payload into the fleet accumulator.
 /// Undecodable tails are simply truncated — a partial sum beats no reply.
 fn accumulate_stats(acc: &mut BTreeMap<String, u64>, payload: &[u8]) {
-    let mut c = Cursor::new(payload);
-    let Ok(count) = c.u64() else { return };
-    for _ in 0..count {
-        let Ok(klen) = c.u16() else { return };
-        let Ok(key) = c.bytes(klen as usize) else {
-            return;
-        };
-        let Ok(val) = c.u64() else { return };
-        let key = String::from_utf8_lossy(key).into_owned();
+    for (key, val) in decode_stats(payload).0 {
         *acc.entry(key).or_insert(0) += val;
     }
 }
@@ -1584,25 +1548,7 @@ fn accumulate_stats(acc: &mut BTreeMap<String, u64>, payload: &[u8]) {
 /// the same digest over the same arrays — so placement is decided at the
 /// edge without building the matrix.
 fn load_fingerprint(payload: &[u8]) -> Result<Fingerprint, String> {
-    let mut c = Cursor::new(payload);
-    let nrows = c.usize()?;
-    let ncols = c.usize()?;
-    let nnz = c.usize()?;
-    let cols1 = ncols.checked_add(1).ok_or("ncols overflow")?;
-    let need = cols1
-        .checked_add(nnz.checked_mul(2).ok_or("nnz overflow")?)
-        .and_then(|w| w.checked_mul(8))
-        .ok_or("size overflow")?;
-    if need > payload.len() {
-        return Err(format!(
-            "LOAD arrays need {need} bytes but payload has {}",
-            payload.len()
-        ));
-    }
-    let colptr = c.usize_vec(cols1)?;
-    let rowidx = c.usize_vec(nnz)?;
-    let values = c.f64_vec(nnz)?;
-    c.finish()?;
+    let (nrows, ncols, colptr, rowidx, values) = decode_load(payload)?;
     Ok(Fingerprint::of_parts(
         nrows, ncols, &colptr, &rowidx, &values,
     ))

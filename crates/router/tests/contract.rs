@@ -334,3 +334,38 @@ fn connection_limit_shed_never_blocks_the_loop() {
         }
     });
 }
+
+/// The keys README.md's STATS reference lists under `heading`, in order.
+fn readme_keys(heading: &str) -> Vec<String> {
+    let readme = include_str!("../../../README.md");
+    let table = readme
+        .split(&format!("| {heading} | meaning |"))
+        .nth(1)
+        .unwrap_or_else(|| panic!("README.md has no `{heading}` table"));
+    let rows = table.lines().skip(2).take_while(|l| l.starts_with("| `"));
+    rows.map(|l| l[3..].split('`').next().unwrap().to_string())
+        .collect()
+}
+
+/// Docs and code cannot drift: every key a live `STATS` reply returns has
+/// a README row, and every README row is a live key — the server table on
+/// a server, both tables on a router.
+#[test]
+fn stats_keys_match_the_readme_reference() {
+    on_both_tiers(DEFAULTS, |tier, stack| {
+        let mut live: Vec<String> = stack
+            .client()
+            .stats()
+            .unwrap()
+            .into_iter()
+            .map(|(k, _)| k)
+            .collect();
+        let mut documented = readme_keys("server key");
+        if stack.router.is_some() {
+            documented.extend(readme_keys("router key"));
+        }
+        live.sort_unstable();
+        documented.sort_unstable();
+        assert_eq!(live, documented, "{tier}");
+    });
+}

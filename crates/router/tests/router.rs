@@ -505,3 +505,81 @@ fn backend_refusing_hello_stays_probing_and_serves_no_traffic() {
     drop(client);
     router.join();
 }
+
+/// `STATS` through a router: the per-key fleet sum, sorted by key, then the
+/// router's own keys in their fixed order.
+#[test]
+fn stats_reply_is_the_sorted_fleet_sum_then_the_router_keys() {
+    let (servers, addrs) = spawn_fleet(2);
+    let router = Router::spawn(RouterOptions {
+        hedge_after: Duration::ZERO, // a hedge would add a second solve
+        ..router_opts(addrs, 2)
+    })
+    .unwrap();
+    assert!(router.wait_healthy(2, Duration::from_secs(10)));
+    let mut client = Client::connect(router.local_addr().to_string()).unwrap();
+    let a = gen::grid2d_laplacian(6, 6);
+    let fp = client.load(&a).unwrap().fingerprint;
+    client.solve(fp, gen::random_rhs(36, 1, 3).col(0)).unwrap();
+    let got = client.stats().unwrap();
+
+    let (fleet, own) = got.split_at(got.len() - 11);
+    let mut keys: Vec<&str> = fleet.iter().map(|(k, _)| k.as_str()).collect();
+    keys.sort_unstable();
+    assert!(
+        fleet.iter().map(|(k, _)| k.as_str()).eq(keys),
+        "fleet keys sorted"
+    );
+    assert_eq!(fleet.len(), 36);
+    let sum = |f: fn(&trisolv_server::EngineStats) -> u64| -> u64 {
+        servers.iter().map(|s| f(&s.engine().stats())).sum()
+    };
+    assert_eq!(common::stat(fleet, "solves_ok"), sum(|s| s.solves_ok));
+    assert_eq!(common::stat(fleet, "solves_ok"), 1);
+    assert_eq!(common::stat(fleet, "cache_entries"), 2, "replicated twice");
+    assert_eq!(common::stat(fleet, "hits"), sum(|s| s.cache.hits));
+    assert_eq!(common::stat(fleet, "batches"), sum(|s| s.batches));
+
+    let own_keys: Vec<&str> = own.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(
+        own_keys,
+        [
+            "router_backends",
+            "router_backends_healthy",
+            "router_failovers",
+            "router_rejoins",
+            "router_requests",
+            "router_retained_loads",
+            "router_retained_bytes",
+            "router_hedges_sent",
+            "router_hedge_wins",
+            "router_crc_rejects",
+            "router_orphan_replies",
+        ]
+    );
+    assert_eq!(common::stat(own, "router_backends"), 2);
+    assert_eq!(common::stat(own, "router_backends_healthy"), 2);
+    assert_eq!(common::stat(own, "router_failovers"), router.failovers());
+    assert_eq!(
+        common::stat(own, "router_requests"),
+        3,
+        "LOAD, SOLVE, STATS"
+    );
+    assert_eq!(common::stat(own, "router_retained_loads"), 1);
+    assert_eq!(
+        common::stat(own, "router_hedges_sent"),
+        router.hedges_sent()
+    );
+    assert_eq!(
+        common::stat(own, "router_crc_rejects"),
+        router.crc_rejects()
+    );
+    assert_eq!(
+        common::stat(own, "router_orphan_replies"),
+        router.orphan_replies()
+    );
+    router.join();
+    for s in servers {
+        s.join();
+    }
+}

@@ -377,13 +377,12 @@ struct Slot {
     last_used: u64,
 }
 
+#[derive(Default)]
 struct CacheInner {
     map: HashMap<Fingerprint, Slot>,
     tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    resident_bytes: usize,
+    /// Every counter but `entries`, which is `map.len()`.
+    counts: CacheStats,
 }
 
 /// Thread-safe LRU cache of [`FactorEntry`]s under a byte budget.
@@ -397,14 +396,7 @@ impl FactorCache {
     pub fn new(budget_bytes: usize) -> FactorCache {
         FactorCache {
             budget_bytes,
-            inner: Mutex::new(CacheInner {
-                map: HashMap::new(),
-                tick: 0,
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-                resident_bytes: 0,
-            }),
+            inner: Mutex::default(),
         }
     }
 
@@ -423,11 +415,11 @@ impl FactorCache {
             Some(slot) => {
                 slot.last_used = tick;
                 let entry = Arc::clone(&slot.entry);
-                g.hits += 1;
+                g.counts.hits += 1;
                 Some(entry)
             }
             None => {
-                g.misses += 1;
+                g.counts.misses += 1;
                 None
             }
         }
@@ -455,7 +447,7 @@ impl FactorCache {
                 evicted: Vec::new(),
             };
         }
-        g.resident_bytes += entry.bytes;
+        g.counts.resident_bytes += entry.bytes;
         let new_fp = entry.fingerprint;
         g.map.insert(
             new_fp,
@@ -465,7 +457,7 @@ impl FactorCache {
             },
         );
         let mut evicted = Vec::new();
-        while g.resident_bytes > self.budget_bytes && g.map.len() > 1 {
+        while g.counts.resident_bytes > self.budget_bytes && g.map.len() > 1 {
             let victim = g
                 .map
                 .iter()
@@ -474,8 +466,8 @@ impl FactorCache {
                 .map(|(fp, _)| *fp)
                 .expect("len > 1 so another entry exists");
             let gone = g.map.remove(&victim).unwrap();
-            g.resident_bytes -= gone.entry.bytes;
-            g.evictions += 1;
+            g.counts.resident_bytes -= gone.entry.bytes;
+            g.counts.evictions += 1;
             evicted.push(victim);
         }
         Admitted {
@@ -495,7 +487,7 @@ impl FactorCache {
                 let old_bytes = slot.entry.bytes;
                 let new_bytes = entry.bytes;
                 slot.entry = entry;
-                g.resident_bytes = g.resident_bytes - old_bytes + new_bytes;
+                g.counts.resident_bytes = g.counts.resident_bytes - old_bytes + new_bytes;
                 return true;
             }
         }
@@ -508,7 +500,7 @@ impl FactorCache {
         let mut g = lock_cache(&self.inner);
         match g.map.remove(&fp) {
             Some(slot) => {
-                g.resident_bytes -= slot.entry.bytes;
+                g.counts.resident_bytes -= slot.entry.bytes;
                 true
             }
             None => false,
@@ -526,11 +518,8 @@ impl FactorCache {
     pub fn stats(&self) -> CacheStats {
         let g = lock_cache(&self.inner);
         CacheStats {
-            hits: g.hits,
-            misses: g.misses,
-            evictions: g.evictions,
             entries: g.map.len(),
-            resident_bytes: g.resident_bytes,
+            ..g.counts
         }
     }
 }

@@ -29,8 +29,8 @@ use trisolv_matrix::CscMatrix;
 
 use crate::fingerprint::Fingerprint;
 use crate::protocol::{
-    encode_v4, op, parse_err, read_frame, unwrap_v4, write_frame, Builder, Cursor, EnvelopeError,
-    ErrorCode, PROTOCOL_VERSION, SOLVE_FLAG_CERTIFIED,
+    decode_stats, encode_v4, op, parse_err, read_frame, unwrap_v4, write_frame, Builder, Cursor,
+    EnvelopeError, ErrorCode, PROTOCOL_VERSION, SOLVE_FLAG_CERTIFIED,
 };
 
 /// Client-visible failure.
@@ -502,21 +502,10 @@ impl Client {
     pub fn stats(&mut self) -> Result<Vec<(String, u64)>, ClientError> {
         let (opcode, reply) = self.round_trip(op::STATS, &[])?;
         Self::expect(opcode, op::OK_STATS, &reply)?;
-        let parsed = (|| {
-            let mut c = Cursor::new(&reply);
-            let count = c.usize()?;
-            let mut pairs = Vec::with_capacity(count.min(64));
-            for _ in 0..count {
-                let klen = c.u16()? as usize;
-                let key = String::from_utf8(c.bytes(klen)?.to_vec())
-                    .map_err(|_| "stats key not UTF-8".to_string())?;
-                let val = c.u64()?;
-                pairs.push((key, val));
-            }
-            c.finish()?;
-            Ok::<_, String>(pairs)
-        })();
-        parsed.map_err(ClientError::Protocol)
+        match decode_stats(&reply) {
+            (pairs, true) => Ok(pairs),
+            (_, false) => Err(ClientError::Protocol("malformed STATS reply".to_string())),
+        }
     }
 
     /// Drop a cached factor; returns whether it was resident. Trailing

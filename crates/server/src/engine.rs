@@ -18,7 +18,7 @@
 use std::collections::HashSet;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -30,6 +30,7 @@ use crate::cache::{CacheStats, FactorCache, FactorEntry, SolverLane};
 use crate::fault::{FaultAction, FaultPlan, FaultSite};
 use crate::fingerprint::Fingerprint;
 use crate::frontend::FrontStats;
+use crate::stats::bump;
 use crate::store::FactorStore;
 
 /// Which executor runs the blocked solves.
@@ -224,69 +225,90 @@ pub struct CertifiedOutcome {
     pub certified: bool,
 }
 
-/// Aggregated engine counters (cache + batcher + failure ladder).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EngineStats {
-    /// Cache occupancy and hit/miss/eviction counters.
-    pub cache: CacheStats,
-    /// Solve requests answered successfully.
-    pub solves_ok: u64,
-    /// Solve requests answered with an error.
-    pub solves_err: u64,
-    /// Blocked solves executed.
-    pub batches: u64,
-    /// RHS columns carried by those blocked solves.
-    pub batched_cols: u64,
-    /// Largest blocked solve executed.
-    pub max_batch: usize,
-    /// Requests shed with `Busy` by admission control.
-    pub shed: u64,
-    /// Requests that missed their deadline inside the service.
-    pub deadline_misses: u64,
-    /// Panics caught and converted to structured errors.
-    pub panics_caught: u64,
-    /// Threaded-executor failures served by the sequential fallback.
-    pub exec_fallbacks: u64,
-    /// Requests rejected for NaN/Inf inputs.
-    pub nonfinite_rejected: u64,
-    /// Solves that produced non-finite output (numeric breakdown).
-    pub breakdowns: u64,
-    /// Worker threads respawned by the front-end supervisor.
-    pub worker_respawns: u64,
-    /// Faults injected by the configured [`FaultPlan`].
-    pub faults_injected: u64,
-    /// Factor-integrity verifications run by the `verify_every` cadence.
-    pub integrity_checks: u64,
-    /// Corrupted cached factors detected, evicted, and refactored.
-    pub self_heals: u64,
-    /// Certified solves (iterative refinement) answered successfully.
-    pub certified_solves: u64,
-    /// Connections currently in service (gauge, not a counter).
-    pub connections_open: u64,
-    /// Connections ever admitted into service.
-    pub connections_total: u64,
-    /// Frames parsed while earlier requests on the same connection were
-    /// still in flight (pipelining depth signal).
-    pub frames_pipelined: u64,
-    /// `LOAD`s answered from the resident cache without refactorization
-    /// (checksum verified, full pipeline skipped).
-    pub load_hits: u64,
-    /// Snapshot files committed by the persistence write-behind thread.
-    pub persist_writes: u64,
-    /// Snapshots loaded by the startup recovery scan.
-    pub persist_recovered: u64,
-    /// Snapshot files the recovery scan unlinked (torn/corrupt/stale).
-    pub persist_dropped: u64,
-    /// Solves (direct or certified) served on an `f32`-resident factor.
-    pub f32_solves: u64,
-    /// Certified solves whose `f32` refinement stagnated and were
-    /// transparently re-answered by an `f64` refactorization.
-    pub precision_fallbacks: u64,
-    /// Factors demoted to `f32` at cache-insert time.
-    pub demoted_factors: u64,
-    /// Frames rejected by the payload-checksum trailer (wire corruption
-    /// caught before the request was parsed).
-    pub crc_rejects: u64,
+crate::stats_table! {
+    impl Engine {
+        counters: Counters at counters,
+        snapshot: pub fn stats,
+        pairs: pub(crate) fn stats_pairs,
+    }
+    /// Aggregated engine counters (cache + batcher + failure ladder). One
+    /// row per `STATS` key, in reply order; README.md's STATS table
+    /// describes each key.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct EngineStats {
+        /// Cache occupancy and hit/miss/eviction counters.
+        part cache: CacheStats = |e| e.cache.stats();
+        wire hits = |_, s| s.cache.hits;
+        wire misses = |_, s| s.cache.misses;
+        wire evictions = |_, s| s.cache.evictions;
+        wire entries = |_, s| s.cache.entries as u64;
+        wire resident_bytes = |_, s| s.cache.resident_bytes as u64;
+        // Stable cache-occupancy gauges for the router tier's
+        // balance/placement decisions (aliases of the two above, which
+        // predate the router and keep their names).
+        wire cache_entries = |_, s| s.cache.entries as u64;
+        wire cache_bytes = |_, s| s.cache.resident_bytes as u64;
+        wire budget_bytes = |e, _| e.opts.budget_bytes as u64;
+        /// Solve requests answered successfully.
+        live solves_ok: u64;
+        /// Solve requests answered with an error.
+        live solves_err: u64;
+        /// Blocked solves executed.
+        live batches: u64;
+        /// RHS columns carried by those blocked solves.
+        live batched_cols: u64;
+        /// Largest blocked solve executed.
+        live max_batch: usize;
+        wire max_pending = |e, _| e.opts.max_pending as u64;
+        /// Requests shed with `Busy` by admission control.
+        live shed: u64;
+        /// Requests that missed their deadline inside the service.
+        live deadline_misses: u64;
+        /// Panics caught and converted to structured errors.
+        live panics_caught: u64;
+        /// Threaded-executor failures served by the sequential fallback.
+        live exec_fallbacks: u64;
+        /// Requests rejected for NaN/Inf inputs.
+        live nonfinite_rejected: u64;
+        /// Solves that produced non-finite output (numeric breakdown).
+        live breakdowns: u64;
+        /// Worker threads respawned by the front-end supervisor.
+        live worker_respawns: u64;
+        /// Faults injected by the configured [`FaultPlan`].
+        read faults_injected: u64 = |e| e.fault.injected();
+        /// Factor-integrity verifications run by the `verify_every` cadence.
+        live integrity_checks: u64;
+        /// Corrupted cached factors detected, evicted, and refactored.
+        live self_heals: u64;
+        /// Certified solves (iterative refinement) answered successfully.
+        live certified_solves: u64;
+        /// Connections currently in service (gauge, not a counter).
+        read connections_open: u64 = |e| e.front.conns_open.load(Ordering::Relaxed);
+        /// Connections ever admitted into service.
+        read connections_total: u64 = |e| e.front.conns_total.load(Ordering::Relaxed);
+        /// Frames parsed while earlier requests on the same connection were
+        /// still in flight (pipelining depth signal).
+        read frames_pipelined: u64 = |e| e.front.frames_pipelined.load(Ordering::Relaxed);
+        /// `LOAD`s answered from the resident cache without refactorization
+        /// (checksum verified, full pipeline skipped).
+        live load_hits: u64;
+        /// Snapshot files committed by the persistence write-behind thread.
+        read persist_writes: u64 = |e| e.store.as_ref().map_or(0, |s| s.writes());
+        /// Snapshots loaded by the startup recovery scan.
+        read persist_recovered: u64 = |e| e.store.as_ref().map_or(0, |s| s.recovered_count());
+        /// Snapshot files the recovery scan unlinked (torn/corrupt/stale).
+        read persist_dropped: u64 = |e| e.store.as_ref().map_or(0, |s| s.dropped_count());
+        /// Solves (direct or certified) served on an `f32`-resident factor.
+        live f32_solves: u64;
+        /// Certified solves whose `f32` refinement stagnated and were
+        /// transparently re-answered by an `f64` refactorization.
+        live precision_fallbacks: u64;
+        /// Factors demoted to `f32` at cache-insert time.
+        live demoted_factors: u64;
+        /// Frames rejected by the payload-checksum trailer (wire corruption
+        /// caught before the request was parsed).
+        read crc_rejects: u64 = |e| e.front.crc_rejects.load(Ordering::Relaxed);
+    }
 }
 
 /// Factor-caching, micro-batching solve engine.
@@ -296,25 +318,7 @@ pub struct Engine {
     fault: FaultPlan,
     store: Option<Arc<FactorStore>>,
     pending: AtomicUsize,
-    load_hits: AtomicU64,
-    solves_ok: AtomicU64,
-    solves_err: AtomicU64,
-    shed: AtomicU64,
-    deadline_misses: AtomicU64,
-    panics_caught: AtomicU64,
-    exec_fallbacks: AtomicU64,
-    nonfinite_rejected: AtomicU64,
-    breakdowns: AtomicU64,
-    worker_respawns: AtomicU64,
-    batches: AtomicU64,
-    batched_cols: AtomicU64,
-    max_batch: AtomicUsize,
-    integrity_checks: AtomicU64,
-    self_heals: AtomicU64,
-    certified_solves: AtomicU64,
-    f32_solves: AtomicU64,
-    precision_fallbacks: AtomicU64,
-    demoted_factors: AtomicU64,
+    counters: Counters,
     /// The front end's counters, reported through [`Engine::stats`].
     front: Arc<FrontStats>,
     /// Fingerprints promoted to permanent `f64` residency by the `auto`
@@ -360,25 +364,7 @@ impl Engine {
             fault,
             store,
             pending: AtomicUsize::new(0),
-            load_hits: AtomicU64::new(0),
-            solves_ok: AtomicU64::new(0),
-            solves_err: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            deadline_misses: AtomicU64::new(0),
-            panics_caught: AtomicU64::new(0),
-            exec_fallbacks: AtomicU64::new(0),
-            nonfinite_rejected: AtomicU64::new(0),
-            breakdowns: AtomicU64::new(0),
-            worker_respawns: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batched_cols: AtomicU64::new(0),
-            max_batch: AtomicUsize::new(0),
-            integrity_checks: AtomicU64::new(0),
-            self_heals: AtomicU64::new(0),
-            certified_solves: AtomicU64::new(0),
-            f32_solves: AtomicU64::new(0),
-            precision_fallbacks: AtomicU64::new(0),
-            demoted_factors: AtomicU64::new(0),
+            counters: Counters::default(),
             front: Arc::default(),
             promoted: Mutex::new(HashSet::new()),
         };
@@ -387,15 +373,8 @@ impl Engine {
             // becomes a resident cache entry. The entry's integrity checksum
             // is re-digested from the rebuilt factor, which the scan already
             // verified equals the persisted one.
-            let threads = eng.solver_threads();
             for rec in store.recover() {
-                let entry = Arc::new(FactorEntry::new(
-                    rec.fingerprint,
-                    rec.matrix,
-                    rec.solver,
-                    threads,
-                    BatchLane::new(eng.opts.batch),
-                ));
+                let entry = eng.entry(rec.fingerprint, rec.matrix, rec.solver);
                 // A cache budget tighter than the disk budget can evict
                 // while warming; keep disk and RAM coherent.
                 for victim in eng.cache.insert(entry).evicted {
@@ -419,7 +398,7 @@ impl Engine {
     /// Record a worker-thread respawn (called by the front-end supervisor
     /// so the count lands in `STATS`).
     pub fn note_worker_respawn(&self) {
-        self.worker_respawns.fetch_add(1, Ordering::Relaxed);
+        bump(&self.counters.worker_respawns, 1);
     }
 
     /// The counters the front end serving this engine writes to, so they
@@ -449,11 +428,44 @@ impl Engine {
     /// certified-solve fallback has promoted to permanent `f64` residency.
     fn insert_lane(&self, fp: Fingerprint, solver: SparseCholeskySolver) -> SolverLane {
         if self.opts.precision.demotes() && !self.is_promoted(fp) {
-            self.demoted_factors.fetch_add(1, Ordering::Relaxed);
+            bump(&self.counters.demoted_factors, 1);
             SolverLane::F32(solver.demote())
         } else {
             SolverLane::F64(solver)
         }
+    }
+
+    /// A cache entry for the engine's executor width and batching policy.
+    fn entry(
+        &self,
+        fp: Fingerprint,
+        matrix: CscMatrix,
+        solver: impl Into<SolverLane>,
+    ) -> Arc<FactorEntry> {
+        Arc::new(FactorEntry::new(
+            fp,
+            matrix,
+            solver,
+            self.solver_threads(),
+            BatchLane::new(self.opts.batch),
+        ))
+    }
+
+    /// Run `f` behind `catch_unwind`: a panic (a kernel bug, or an injected
+    /// fault) becomes `Internal("{what} panicked: …")`, counted in
+    /// `panics_caught`, instead of a dead worker.
+    fn caught<T>(
+        &self,
+        what: &str,
+        f: impl FnOnce() -> Result<T, EngineError>,
+    ) -> Result<T, EngineError> {
+        panic::catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+            bump(&self.counters.panics_caught, 1);
+            Err(EngineError::Internal(format!(
+                "{what} panicked: {}",
+                panic_message(&*payload)
+            )))
+        })
     }
 
     fn is_promoted(&self, fp: Fingerprint) -> bool {
@@ -466,33 +478,13 @@ impl Engine {
     /// position), and — in `auto` mode — pin the fingerprint so later
     /// re-loads never demote it again.
     fn promote(&self, bad: &FactorEntry) -> Result<Arc<FactorEntry>, EngineError> {
-        let rebuilt = panic::catch_unwind(AssertUnwindSafe(|| {
-            SparseCholeskySolver::factor(&bad.matrix)
-                .map_err(|e| EngineError::NotSpd(e.to_string()))
-        }));
-        let solver = match rebuilt {
-            Ok(Ok(solver)) => solver,
-            Ok(Err(e)) => return Err(e),
-            Err(payload) => {
-                self.panics_caught.fetch_add(1, Ordering::Relaxed);
-                return Err(EngineError::Internal(format!(
-                    "precision-fallback refactorization panicked: {}",
-                    panic_message(&payload)
-                )));
-            }
-        };
-        let entry = Arc::new(FactorEntry::new(
-            bad.fingerprint,
-            bad.matrix.clone(),
-            solver,
-            self.solver_threads(),
-            BatchLane::new(self.opts.batch),
-        ));
+        let solver = self.caught("precision-fallback refactorization", || factor(&bad.matrix))?;
+        let entry = self.entry(bad.fingerprint, bad.matrix.clone(), solver);
         self.cache.replace(Arc::clone(&entry));
         if self.opts.precision == PrecisionMode::Auto {
             self.promoted.lock().unwrap().insert(bad.fingerprint);
         }
-        self.precision_fallbacks.fetch_add(1, Ordering::Relaxed);
+        bump(&self.counters.precision_fallbacks, 1);
         if let Some(store) = &self.store {
             // the on-disk snapshot still holds the f32 payload; re-snapshot
             // the promoted factor so a restart keeps full precision
@@ -505,7 +497,7 @@ impl Engine {
     /// resident matrix is not re-factored).
     pub fn load(&self, a: &CscMatrix) -> Result<LoadOutcome, EngineError> {
         if !a.values().iter().all(|v| v.is_finite()) {
-            self.nonfinite_rejected.fetch_add(1, Ordering::Relaxed);
+            bump(&self.counters.nonfinite_rejected, 1);
             return Err(EngineError::NonFinite {
                 what: "matrix values",
             });
@@ -521,7 +513,7 @@ impl Engine {
             } else {
                 self.heal(&entry)?
             };
-            self.load_hits.fetch_add(1, Ordering::Relaxed);
+            bump(&self.counters.load_hits, 1);
             return Ok(LoadOutcome {
                 fingerprint,
                 n: entry.n,
@@ -529,32 +521,14 @@ impl Engine {
                 already_cached: true,
             });
         }
-        // Factorization runs behind catch_unwind: a panicking kernel (or an
-        // injected factor fault) becomes ERR Internal, not a dead worker.
-        let built = panic::catch_unwind(AssertUnwindSafe(|| {
+        // The only factorization that trips the `factor` fault site.
+        let solver = self.caught("factorization", || {
             self.fault.trip(FaultSite::Factor);
-            SparseCholeskySolver::factor(a).map_err(|e| EngineError::NotSpd(e.to_string()))
-        }));
-        let solver = match built {
-            Ok(Ok(solver)) => solver,
-            Ok(Err(e)) => return Err(e),
-            Err(payload) => {
-                self.panics_caught.fetch_add(1, Ordering::Relaxed);
-                return Err(EngineError::Internal(format!(
-                    "factorization panicked: {}",
-                    panic_message(&payload)
-                )));
-            }
-        };
+            factor(a)
+        })?;
         let factor_nnz = solver.factor_matrix().nnz();
         let lane = self.insert_lane(fingerprint, solver);
-        let entry = Arc::new(FactorEntry::new(
-            fingerprint,
-            a.clone(),
-            lane,
-            self.solver_threads(),
-            BatchLane::new(self.opts.batch),
-        ));
+        let entry = self.entry(fingerprint, a.clone(), lane);
         let n = entry.n;
         let admitted = self.cache.insert(Arc::clone(&entry));
         if let Some(store) = &self.store {
@@ -594,7 +568,7 @@ impl Engine {
         let out = self.solve_inner(fp, rhs, deadline);
         match &out {
             Ok(_) => {
-                self.solves_ok.fetch_add(1, Ordering::Relaxed);
+                bump(&self.counters.solves_ok, 1);
             }
             Err(e) => self.note_solve_error(e),
         }
@@ -615,8 +589,8 @@ impl Engine {
         let out = self.solve_certified_inner(fp, rhs, deadline);
         match &out {
             Ok(_) => {
-                self.solves_ok.fetch_add(1, Ordering::Relaxed);
-                self.certified_solves.fetch_add(1, Ordering::Relaxed);
+                bump(&self.counters.solves_ok, 1);
+                bump(&self.counters.certified_solves, 1);
             }
             Err(e) => self.note_solve_error(e),
         }
@@ -626,27 +600,28 @@ impl Engine {
     /// Bump the per-cause failure counters for one failed solve.
     fn note_solve_error(&self, e: &EngineError) {
         match e {
-            EngineError::Busy { .. } => self.shed.fetch_add(1, Ordering::Relaxed),
-            EngineError::DeadlineExceeded => self.deadline_misses.fetch_add(1, Ordering::Relaxed),
-            EngineError::NonFinite { .. } => {
-                self.nonfinite_rejected.fetch_add(1, Ordering::Relaxed)
-            }
-            EngineError::NumericBreakdown => self.breakdowns.fetch_add(1, Ordering::Relaxed),
-            _ => 0,
-        };
-        self.solves_err.fetch_add(1, Ordering::Relaxed);
+            EngineError::Busy { .. } => bump(&self.counters.shed, 1),
+            EngineError::DeadlineExceeded => bump(&self.counters.deadline_misses, 1),
+            EngineError::NonFinite { .. } => bump(&self.counters.nonfinite_rejected, 1),
+            EngineError::NumericBreakdown => bump(&self.counters.breakdowns, 1),
+            _ => {}
+        }
+        bump(&self.counters.solves_err, 1);
     }
 
-    fn solve_inner(
+    /// The admission prologue both solve paths share, cheapest check first
+    /// (shedding must be cheap precisely when the server is drowning):
+    /// pending high-water mark, expired deadline, non-finite RHS, cache
+    /// lookup with the integrity ladder, dimension check. The guard holds
+    /// the request's in-flight slot until it is dropped.
+    fn admit(
         &self,
         fp: Fingerprint,
-        rhs: Vec<f64>,
+        rhs: &[f64],
         deadline: Option<Instant>,
-    ) -> Result<Vec<f64>, EngineError> {
-        // Admission control first: shedding must be cheap precisely when
-        // the server is drowning.
+    ) -> Result<(PendingGuard<'_>, Arc<FactorEntry>), EngineError> {
         let in_flight = self.pending.fetch_add(1, Ordering::AcqRel);
-        let _guard = PendingGuard(&self.pending);
+        let guard = PendingGuard(&self.pending);
         if self.opts.max_pending > 0 && in_flight >= self.opts.max_pending {
             return Err(EngineError::Busy {
                 retry_after_ms: self.retry_after_ms(),
@@ -665,6 +640,16 @@ impl Engine {
                 got: rhs.len(),
             });
         }
+        Ok((guard, entry))
+    }
+
+    fn solve_inner(
+        &self,
+        fp: Fingerprint,
+        rhs: Vec<f64>,
+        deadline: Option<Instant>,
+    ) -> Result<Vec<f64>, EngineError> {
+        let (_guard, entry) = self.admit(fp, &rhs, deadline)?;
         let exec_entry = Arc::clone(&entry);
         entry
             .lane
@@ -682,33 +667,14 @@ impl Engine {
         rhs: Vec<f64>,
         deadline: Option<Instant>,
     ) -> Result<CertifiedOutcome, EngineError> {
-        let in_flight = self.pending.fetch_add(1, Ordering::AcqRel);
-        let _guard = PendingGuard(&self.pending);
-        if self.opts.max_pending > 0 && in_flight >= self.opts.max_pending {
-            return Err(EngineError::Busy {
-                retry_after_ms: self.retry_after_ms(),
-            });
-        }
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            return Err(EngineError::DeadlineExceeded);
-        }
-        if !rhs.iter().all(|v| v.is_finite()) {
-            return Err(EngineError::NonFinite { what: "rhs" });
-        }
-        let entry = self.checked_entry(fp)?;
-        if rhs.len() != entry.n {
-            return Err(EngineError::DimensionMismatch {
-                expected: entry.n,
-                got: rhs.len(),
-            });
-        }
+        let (_guard, entry) = self.admit(fp, &rhs, deadline)?;
         let n = entry.n;
         // Lane dispatch behind one catch_unwind shape: the f64 lane runs
         // classic refinement, the f32 lane runs the mixed-precision driver
         // (f32 correction solves, f64 residuals against the retained
         // matrix).
         let run_refine = |e: &FactorEntry| -> Result<(DenseMatrix, SolveReport), EngineError> {
-            let refined = panic::catch_unwind(AssertUnwindSafe(|| {
+            self.caught("certified solve", || {
                 let mut b = DenseMatrix::zeros(n, 1);
                 b.col_mut(0).copy_from_slice(&rhs);
                 let opts = trisolv_core::RefineOptions::default();
@@ -718,18 +684,8 @@ impl Engine {
                         trisolv_core::refine::refine_mixed(s, &e.matrix, &b, &opts)
                     }
                 }
-            }));
-            match refined {
-                Ok(Ok(pair)) => Ok(pair),
-                Ok(Err(e)) => Err(EngineError::Internal(format!("refinement failed: {e}"))),
-                Err(payload) => {
-                    self.panics_caught.fetch_add(1, Ordering::Relaxed);
-                    Err(EngineError::Internal(format!(
-                        "certified solve panicked: {}",
-                        panic_message(&payload)
-                    )))
-                }
-            }
+                .map_err(|e| EngineError::Internal(format!("refinement failed: {e}")))
+            })
         };
         let was_f32 = entry.solver.is_f32();
         let (x, report) = run_refine(&entry)?;
@@ -741,7 +697,7 @@ impl Engine {
             run_refine(&promoted)?
         } else {
             if was_f32 {
-                self.f32_solves.fetch_add(1, Ordering::Relaxed);
+                bump(&self.counters.f32_solves, 1);
             }
             (x, report)
         };
@@ -780,7 +736,7 @@ impl Engine {
         }
         let cadence = self.opts.verify_every;
         if cadence > 0 && entry.note_solve() % cadence == 0 {
-            self.integrity_checks.fetch_add(1, Ordering::Relaxed);
+            bump(&self.counters.integrity_checks, 1);
             if !entry.verify() {
                 entry = self.heal(&entry)?;
             }
@@ -794,21 +750,7 @@ impl Engine {
     /// bit-identical to the one originally inserted — and swap it in
     /// without perturbing the entry's LRU position.
     fn heal(&self, bad: &FactorEntry) -> Result<Arc<FactorEntry>, EngineError> {
-        let rebuilt = panic::catch_unwind(AssertUnwindSafe(|| {
-            SparseCholeskySolver::factor(&bad.matrix)
-                .map_err(|e| EngineError::NotSpd(e.to_string()))
-        }));
-        let solver = match rebuilt {
-            Ok(Ok(solver)) => solver,
-            Ok(Err(e)) => return Err(e),
-            Err(payload) => {
-                self.panics_caught.fetch_add(1, Ordering::Relaxed);
-                return Err(EngineError::Internal(format!(
-                    "self-heal refactorization panicked: {}",
-                    panic_message(&payload)
-                )));
-            }
-        };
+        let solver = self.caught("self-heal refactorization", || factor(&bad.matrix))?;
         // Heal back into the lane the entry occupied: a corrupted f32
         // resident comes back as a freshly demoted copy of the (bit-wise
         // reproducible) f64 refactorization.
@@ -817,15 +759,9 @@ impl Engine {
         } else {
             SolverLane::F64(solver)
         };
-        let entry = Arc::new(FactorEntry::new(
-            bad.fingerprint,
-            bad.matrix.clone(),
-            lane,
-            self.solver_threads(),
-            BatchLane::new(self.opts.batch),
-        ));
+        let entry = self.entry(bad.fingerprint, bad.matrix.clone(), lane);
         self.cache.replace(Arc::clone(&entry));
-        self.self_heals.fetch_add(1, Ordering::Relaxed);
+        bump(&self.counters.self_heals, 1);
         if let Some(store) = &self.store {
             // the on-disk snapshot may be the corrupted copy (or missing);
             // re-snapshot the healed factor
@@ -844,9 +780,11 @@ impl Engine {
         batch: Vec<Vec<f64>>,
     ) -> Result<Vec<Vec<f64>>, EngineError> {
         let k = batch.len();
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batched_cols.fetch_add(k as u64, Ordering::Relaxed);
-        self.max_batch.fetch_max(k, Ordering::Relaxed);
+        bump(&self.counters.batches, 1);
+        bump(&self.counters.batched_cols, k as u64);
+        self.counters
+            .max_batch
+            .fetch_max(k as u64, Ordering::Relaxed);
         let cols = match self.opts.exec {
             ExecMode::Seq => self.execute_seq_caught(entry, &batch)?,
             ExecMode::Threaded => {
@@ -860,8 +798,8 @@ impl Engine {
                         // Degradation ladder: threaded panicked → answer
                         // this batch on the sequential executor instead of
                         // failing every rider.
-                        self.panics_caught.fetch_add(1, Ordering::Relaxed);
-                        self.exec_fallbacks.fetch_add(1, Ordering::Relaxed);
+                        bump(&self.counters.panics_caught, 1);
+                        bump(&self.counters.exec_fallbacks, 1);
                         self.execute_seq_caught(entry, &batch)?
                     }
                 }
@@ -871,7 +809,7 @@ impl Engine {
             return Err(EngineError::NumericBreakdown);
         }
         if entry.solver.is_f32() {
-            self.f32_solves.fetch_add(k as u64, Ordering::Relaxed);
+            bump(&self.counters.f32_solves, k as u64);
         }
         Ok(cols)
     }
@@ -885,20 +823,13 @@ impl Engine {
     ) -> Result<Vec<Vec<f64>>, EngineError> {
         let n = entry.n;
         let k = batch.len();
-        panic::catch_unwind(AssertUnwindSafe(|| {
+        self.caught("sequential solve", || {
             let mut b = DenseMatrix::zeros(n, k);
             for (c, col) in batch.iter().enumerate() {
                 b.col_mut(c).copy_from_slice(col);
             }
             let x = entry.solver.solve(&b);
-            (0..k).map(|c| x.col(c).to_vec()).collect::<Vec<_>>()
-        }))
-        .map_err(|payload| {
-            self.panics_caught.fetch_add(1, Ordering::Relaxed);
-            EngineError::Internal(format!(
-                "sequential solve panicked: {}",
-                panic_message(&payload)
-            ))
+            Ok((0..k).map(|c| x.col(c).to_vec()).collect())
         })
     }
 
@@ -982,45 +913,16 @@ impl Engine {
         self.cache.entries().iter().all(|e| e.lane.is_quiescent())
     }
 
-    /// Counter snapshot.
-    pub fn stats(&self) -> EngineStats {
-        EngineStats {
-            cache: self.cache.stats(),
-            solves_ok: self.solves_ok.load(Ordering::Relaxed),
-            solves_err: self.solves_err.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batched_cols: self.batched_cols.load(Ordering::Relaxed),
-            max_batch: self.max_batch.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            deadline_misses: self.deadline_misses.load(Ordering::Relaxed),
-            panics_caught: self.panics_caught.load(Ordering::Relaxed),
-            exec_fallbacks: self.exec_fallbacks.load(Ordering::Relaxed),
-            nonfinite_rejected: self.nonfinite_rejected.load(Ordering::Relaxed),
-            breakdowns: self.breakdowns.load(Ordering::Relaxed),
-            worker_respawns: self.worker_respawns.load(Ordering::Relaxed),
-            faults_injected: self.fault.injected(),
-            integrity_checks: self.integrity_checks.load(Ordering::Relaxed),
-            self_heals: self.self_heals.load(Ordering::Relaxed),
-            certified_solves: self.certified_solves.load(Ordering::Relaxed),
-            connections_open: self.front.conns_open.load(Ordering::Relaxed),
-            connections_total: self.front.conns_total.load(Ordering::Relaxed),
-            frames_pipelined: self.front.frames_pipelined.load(Ordering::Relaxed),
-            load_hits: self.load_hits.load(Ordering::Relaxed),
-            persist_writes: self.store.as_ref().map_or(0, |s| s.writes()),
-            persist_recovered: self.store.as_ref().map_or(0, |s| s.recovered_count()),
-            persist_dropped: self.store.as_ref().map_or(0, |s| s.dropped_count()),
-            f32_solves: self.f32_solves.load(Ordering::Relaxed),
-            precision_fallbacks: self.precision_fallbacks.load(Ordering::Relaxed),
-            demoted_factors: self.demoted_factors.load(Ordering::Relaxed),
-            crc_rejects: self.front.crc_rejects.load(Ordering::Relaxed),
-        }
-    }
-
     /// The batching window currently configured (used by the front end to
     /// derive per-request socket timeouts).
     pub fn batch_window(&self) -> Duration {
         self.opts.batch.window
     }
+}
+
+/// Factor `a` in `f64`; a non-SPD matrix is a structured error.
+fn factor(a: &CscMatrix) -> Result<SparseCholeskySolver, EngineError> {
+    SparseCholeskySolver::factor(a).map_err(|e| EngineError::NotSpd(e.to_string()))
 }
 
 /// Best-effort human-readable panic payload.
@@ -1037,16 +939,20 @@ mod tests {
     use super::*;
     use trisolv_matrix::gen;
 
-    fn engine(exec: ExecMode, max_batch: usize) -> Engine {
-        Engine::new(EngineOptions {
+    fn opts(exec: ExecMode, max_batch: usize) -> EngineOptions {
+        EngineOptions {
             exec,
             batch: BatchOptions {
                 max_batch,
-                window: Duration::from_millis(2),
+                window: Duration::from_millis(1),
                 wait_timeout: Duration::from_secs(10),
             },
             ..EngineOptions::default()
-        })
+        }
+    }
+
+    fn engine(exec: ExecMode, max_batch: usize) -> Engine {
+        Engine::new(opts(exec, max_batch))
     }
 
     #[test]
@@ -1177,14 +1083,8 @@ mod tests {
     #[test]
     fn admission_control_sheds_over_the_high_water_mark() {
         let eng = Engine::new(EngineOptions {
-            exec: ExecMode::Seq,
             max_pending: 2,
-            batch: BatchOptions {
-                max_batch: 1,
-                window: Duration::from_millis(1),
-                wait_timeout: Duration::from_secs(5),
-            },
-            ..EngineOptions::default()
+            ..opts(ExecMode::Seq, 1)
         });
         // Saturate the pending counter by hand (as if 2 requests were
         // parked in the batcher), then observe the third being shed.
@@ -1224,18 +1124,7 @@ mod tests {
     #[test]
     fn injected_solve_panic_falls_back_to_seq() {
         let fault = FaultPlan::parse("solve.panic=every:1").unwrap();
-        let eng = Engine::with_fault(
-            EngineOptions {
-                exec: ExecMode::Threaded,
-                batch: BatchOptions {
-                    max_batch: 1,
-                    window: Duration::from_millis(1),
-                    wait_timeout: Duration::from_secs(5),
-                },
-                ..EngineOptions::default()
-            },
-            fault,
-        );
+        let eng = Engine::with_fault(opts(ExecMode::Threaded, 1), fault);
         let a = gen::grid2d_laplacian(6, 6);
         let fp = eng.load(&a).unwrap().fingerprint;
         let reference = SparseCholeskySolver::factor(&a).unwrap();
@@ -1283,14 +1172,8 @@ mod tests {
         let fault = FaultPlan::parse("cache.torn=every:2").unwrap();
         let eng = Engine::with_fault(
             EngineOptions {
-                exec: ExecMode::Threaded,
                 verify_every: 1,
-                batch: BatchOptions {
-                    max_batch: 1,
-                    window: Duration::from_millis(1),
-                    wait_timeout: Duration::from_secs(5),
-                },
-                ..EngineOptions::default()
+                ..opts(ExecMode::Threaded, 1)
             },
             fault,
         );
@@ -1321,14 +1204,8 @@ mod tests {
         let fault = FaultPlan::parse("cache.torn=every:1").unwrap();
         let eng = Engine::with_fault(
             EngineOptions {
-                exec: ExecMode::Seq,
                 verify_every: 0,
-                batch: BatchOptions {
-                    max_batch: 1,
-                    window: Duration::from_millis(1),
-                    wait_timeout: Duration::from_secs(5),
-                },
-                ..EngineOptions::default()
+                ..opts(ExecMode::Seq, 1)
             },
             fault,
         );
@@ -1349,7 +1226,7 @@ mod tests {
         let a = gen::grid2d_laplacian(5, 5);
         let err = eng.load(&a).unwrap_err();
         assert!(
-            matches!(&err, EngineError::Internal(m) if m.contains("panicked")),
+            matches!(&err, EngineError::Internal(m) if m.contains("panicked: injected fault")),
             "{err:?}"
         );
         assert_eq!(eng.stats().panics_caught, 1);
@@ -1357,14 +1234,8 @@ mod tests {
 
     fn precision_engine(exec: ExecMode, precision: PrecisionMode) -> Engine {
         Engine::new(EngineOptions {
-            exec,
             precision,
-            batch: BatchOptions {
-                max_batch: 2,
-                window: Duration::from_millis(1),
-                wait_timeout: Duration::from_secs(10),
-            },
-            ..EngineOptions::default()
+            ..opts(exec, 2)
         })
     }
 
@@ -1465,15 +1336,9 @@ mod tests {
         let fault = FaultPlan::parse("cache.torn=every:2").unwrap();
         let eng = Engine::with_fault(
             EngineOptions {
-                exec: ExecMode::Threaded,
                 precision: PrecisionMode::F32,
                 verify_every: 1,
-                batch: BatchOptions {
-                    max_batch: 1,
-                    window: Duration::from_millis(1),
-                    wait_timeout: Duration::from_secs(5),
-                },
-                ..EngineOptions::default()
+                ..opts(ExecMode::Threaded, 1)
             },
             fault,
         );

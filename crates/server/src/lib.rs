@@ -12,7 +12,8 @@
 //! with request pipelining ([`conn`]) owned by the client-facing front end
 //! the router shares ([`frontend`]), and a solver-worker pool ([`server`])
 //! — with a matching blocking client and load generator ([`client`],
-//! [`loadgen`]).
+//! [`loadgen`]). Every `STATS` key is a row of one counter table per
+//! tier ([`stats_table!`]).
 //!
 //! Failure is a first-class input ([`fault`]): a seeded fault plan can
 //! inject torn frames, stalls, panics, and connection drops at named sites,
@@ -43,6 +44,7 @@ pub mod poller;
 pub mod protocol;
 pub mod server;
 pub mod signal;
+pub mod stats;
 pub mod store;
 
 pub use batch::{BatchLane, BatchOptions, LaneError};

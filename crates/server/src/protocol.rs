@@ -98,11 +98,12 @@
 //! [`crate::client::Client::evict`] ignores it and
 //! [`crate::client::Client::evict_detailed`] decodes it.
 //!
-//! `OK_STATS` keys include the cache-occupancy gauges `cache_entries` and
-//! `cache_bytes` (aliases of `entries`/`resident_bytes`, kept stable for
-//! placement/balance decisions by the router tier) alongside the engine
-//! counters; a router replies with the *sum* over its backends plus its own
-//! `router_*` keys.
+//! `OK_STATS` pairs are written by [`encode_stats`] and read by
+//! [`decode_stats`], the only codec for them. A server sends one pair per
+//! row of the engine's counter table (`engine.rs`, in table order); a
+//! router sends the per-key *sum* over its backends, sorted by key, then
+//! one pair per row of its own `router_*` table. README.md's STATS table
+//! defines every key.
 //!
 //! Error codes are in [`ErrorCode`]. Protocol errors on a decodable frame
 //! produce an `ERR` reply and leave the connection open; an undecodable
@@ -340,6 +341,68 @@ pub fn parse_err(payload: &[u8]) -> Result<(Option<ErrorCode>, String, Option<u6
         _ => None,
     };
     Ok((code, msg, retry_after_ms))
+}
+
+/// Encode an `OK_STATS` payload: `u64 count`, then per pair `u16 keylen`,
+/// the key bytes, `u64 value`.
+pub fn encode_stats<K: AsRef<str>>(pairs: &[(K, u64)]) -> Vec<u8> {
+    let mut b = Builder::new().u64(pairs.len() as u64);
+    for (key, val) in pairs {
+        let key = key.as_ref().as_bytes();
+        b = b.u16(key.len() as u16).bytes(key).u64(*val);
+    }
+    b.build()
+}
+
+/// Decode an `OK_STATS` payload into its pairs, up to the first malformed
+/// one (truncated, or a key that is not UTF-8). The flag says whether the
+/// whole payload was clean: every announced pair decoded and no bytes
+/// left over.
+pub fn decode_stats(payload: &[u8]) -> (Vec<(String, u64)>, bool) {
+    let mut c = Cursor::new(payload);
+    let mut pairs = Vec::new();
+    let clean = (|| -> Result<(), String> {
+        for _ in 0..c.u64()? {
+            let klen = c.u16()? as usize;
+            let key = String::from_utf8(c.bytes(klen)?.to_vec()).map_err(|e| e.to_string())?;
+            pairs.push((key, c.u64()?));
+        }
+        c.finish()
+    })();
+    (pairs, clean.is_ok())
+}
+
+/// A `LOAD` payload's CSC arrays: `(nrows, ncols, colptr, rowidx, values)`.
+pub type LoadArrays = (usize, usize, Vec<usize>, Vec<usize>, Vec<f64>);
+
+/// Decode a `LOAD` payload into its CSC arrays (no matrix validation; the
+/// server builds the matrix, the router only fingerprints the arrays).
+pub fn decode_load(payload: &[u8]) -> Result<LoadArrays, String> {
+    let mut c = Cursor::new(payload);
+    let nrows = c.usize()?;
+    let ncols = c.usize()?;
+    let nnz = c.usize()?;
+    // The column-pointer array has ncols + 1 entries; the add is on
+    // attacker-controlled input, so it must be checked (a huge ncols used
+    // to panic in debug and wrap — skewing the sanity bound — in release).
+    let cols1 = ncols.checked_add(1).ok_or("ncols overflow")?;
+    // cheap sanity bound before the big allocations: the arrays must fit
+    // the frame we already read
+    let need = cols1
+        .checked_add(nnz.checked_mul(2).ok_or("nnz overflow")?)
+        .and_then(|w| w.checked_mul(8))
+        .ok_or("size overflow")?;
+    if need > payload.len() {
+        return Err(format!(
+            "LOAD arrays need {need} bytes but payload has {}",
+            payload.len()
+        ));
+    }
+    let colptr = c.usize_vec(cols1)?;
+    let rowidx = c.usize_vec(nnz)?;
+    let values = c.f64_vec(nnz)?;
+    c.finish()?;
+    Ok((nrows, ncols, colptr, rowidx, values))
 }
 
 /// Why an envelope failed to unwrap.
@@ -678,6 +741,29 @@ mod tests {
         // truncation is an error, not a panic
         let mut c = Cursor::new(&payload[..3]);
         assert!(c.u32().is_err());
+    }
+
+    #[test]
+    fn stats_pairs_round_trip_and_truncate_cleanly() {
+        let pairs = [("hits", 3u64), ("router_failovers", u64::MAX), ("", 0)];
+        let payload = encode_stats(&pairs);
+        let owned: Vec<(String, u64)> = pairs.iter().map(|&(k, v)| (k.to_string(), v)).collect();
+        assert_eq!(decode_stats(&payload), (owned.clone(), true));
+        assert_eq!(decode_stats(&encode_stats::<&str>(&[])), (Vec::new(), true));
+        // a truncated tail yields the intact prefix, flagged unclean
+        for cut in 0..payload.len() {
+            let (got, clean) = decode_stats(&payload[..cut]);
+            assert!(!clean, "cut at {cut}");
+            assert_eq!(got, owned[..got.len()], "cut at {cut}");
+        }
+        let (got, clean) = decode_stats(&payload[..payload.len() - 1]);
+        assert_eq!((got.len(), clean), (2, false));
+        // trailing bytes and non-UTF-8 keys are unclean too
+        let mut long = payload.clone();
+        long.push(0);
+        assert_eq!(decode_stats(&long), (owned.clone(), false));
+        let bad = Builder::new().u64(1).u16(1).bytes(&[0xFF]).u64(1).build();
+        assert_eq!(decode_stats(&bad), (Vec::new(), false));
     }
 
     #[test]

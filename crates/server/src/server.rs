@@ -54,7 +54,8 @@ use crate::fault::{FaultAction, FaultPlan, FaultSite};
 use crate::frontend::{FrontEnd, FrontEndConfig, Request};
 use crate::poller::{self, Interest, PollFd, Waker};
 use crate::protocol::{
-    encode_v4, err_payload, op, Builder, Cursor, ErrorCode, SOLVE_FLAG_CERTIFIED,
+    decode_load, encode_stats, encode_v4, err_payload, op, Builder, Cursor, ErrorCode,
+    SOLVE_FLAG_CERTIFIED,
 };
 use crate::signal;
 use crate::store::{FactorStore, StoreOptions};
@@ -310,11 +311,9 @@ impl RunningServer {
     }
 
     /// Signal shutdown and join every thread.
-    pub fn join(mut self) {
+    pub fn join(self) {
         self.shutdown();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+        self.wait();
     }
 
     /// Block until the server shuts down — via a `SHUTDOWN` request or a
@@ -466,18 +465,9 @@ fn serve_job(ctx: &WorkerCtx, req: &Request) -> Outcome {
             req.received,
         )
     }))
-    .unwrap_or_else(|_| Dispatch::Error {
-        code: ErrorCode::Internal,
-        msg: "request handler panicked".to_string(),
-        retry_after_ms: None,
-    });
+    .unwrap_or_else(|_| bad(ErrorCode::Internal, "request handler panicked"));
     let (opcode, payload, close) = match dispatched {
         Dispatch::Reply(opcode, reply) => (opcode, reply, false),
-        Dispatch::Error {
-            code,
-            msg,
-            retry_after_ms,
-        } => (op::ERR, err_payload(code, &msg, retry_after_ms), false),
         Dispatch::Bye => (op::OK_BYE, Vec::new(), true),
     };
     // The reply echoes the request ID and carries the checksum trailer;
@@ -552,35 +542,24 @@ fn watchdog_loop(
 // ---------------------------------------------------------------------------
 
 enum Dispatch {
+    /// A reply frame (an `ERR` included) to send on the connection.
     Reply(u8, Vec<u8>),
-    Error {
-        code: ErrorCode,
-        msg: String,
-        retry_after_ms: Option<u64>,
-    },
     Bye,
 }
 
-/// A Dispatch error from a decode failure.
-fn bad(code: ErrorCode, msg: impl Into<String>) -> Dispatch {
-    Dispatch::Error {
-        code,
-        msg: msg.into(),
-        retry_after_ms: None,
-    }
+/// An `ERR` reply with no retry hint.
+fn bad(code: ErrorCode, msg: impl AsRef<str>) -> Dispatch {
+    Dispatch::Reply(op::ERR, err_payload(code, msg.as_ref(), None))
 }
 
-/// A Dispatch error from an engine failure (carries the Busy retry hint).
+/// An `ERR` reply for an engine failure (carries the Busy retry hint).
 fn engine_err(e: &EngineError) -> Dispatch {
     let retry_after_ms = match e {
         EngineError::Busy { retry_after_ms } => Some(*retry_after_ms),
         _ => None,
     };
-    Dispatch::Error {
-        code: ErrorCode::of_engine_error(e),
-        msg: e.to_string(),
-        retry_after_ms,
-    }
+    let code = ErrorCode::of_engine_error(e);
+    Dispatch::Reply(op::ERR, err_payload(code, &e.to_string(), retry_after_ms))
 }
 
 /// The effective request deadline: the client's ask clamped to the server
@@ -589,13 +568,7 @@ fn engine_err(e: &EngineError) -> Dispatch {
 fn effective_deadline(client_ms: u64, cap: Duration, now: Instant) -> Option<Instant> {
     let client = (client_ms > 0).then(|| Duration::from_millis(client_ms));
     let cap = (!cap.is_zero()).then_some(cap);
-    let budget = match (client, cap) {
-        (Some(c), Some(k)) => Some(c.min(k)),
-        (Some(c), None) => Some(c),
-        (None, Some(k)) => Some(k),
-        (None, None) => None,
-    };
-    budget.map(|b| now + b)
+    client.into_iter().chain(cap).min().map(|b| now + b)
 }
 
 fn dispatch(
@@ -667,55 +640,7 @@ fn dispatch(
                 Err(msg) => bad(ErrorCode::Malformed, msg),
             }
         }
-        op::STATS => {
-            let s = engine.stats();
-            let pairs: [(&str, u64); 36] = [
-                ("hits", s.cache.hits),
-                ("misses", s.cache.misses),
-                ("evictions", s.cache.evictions),
-                ("entries", s.cache.entries as u64),
-                ("resident_bytes", s.cache.resident_bytes as u64),
-                // Stable cache-occupancy gauges for the router tier's
-                // balance/placement decisions (aliases of the two above,
-                // which predate the router and keep their names).
-                ("cache_entries", s.cache.entries as u64),
-                ("cache_bytes", s.cache.resident_bytes as u64),
-                ("budget_bytes", engine.options().budget_bytes as u64),
-                ("solves_ok", s.solves_ok),
-                ("solves_err", s.solves_err),
-                ("batches", s.batches),
-                ("batched_cols", s.batched_cols),
-                ("max_batch", s.max_batch as u64),
-                ("max_pending", engine.options().max_pending as u64),
-                ("shed", s.shed),
-                ("deadline_misses", s.deadline_misses),
-                ("panics_caught", s.panics_caught),
-                ("exec_fallbacks", s.exec_fallbacks),
-                ("nonfinite_rejected", s.nonfinite_rejected),
-                ("breakdowns", s.breakdowns),
-                ("worker_respawns", s.worker_respawns),
-                ("faults_injected", s.faults_injected),
-                ("integrity_checks", s.integrity_checks),
-                ("self_heals", s.self_heals),
-                ("certified_solves", s.certified_solves),
-                ("connections_open", s.connections_open),
-                ("connections_total", s.connections_total),
-                ("frames_pipelined", s.frames_pipelined),
-                ("load_hits", s.load_hits),
-                ("persist_writes", s.persist_writes),
-                ("persist_recovered", s.persist_recovered),
-                ("persist_dropped", s.persist_dropped),
-                ("f32_solves", s.f32_solves),
-                ("precision_fallbacks", s.precision_fallbacks),
-                ("demoted_factors", s.demoted_factors),
-                ("crc_rejects", s.crc_rejects),
-            ];
-            let mut b = Builder::new().u64(pairs.len() as u64);
-            for (key, val) in pairs {
-                b = b.u16(key.len() as u16).bytes(key.as_bytes()).u64(val);
-            }
-            Dispatch::Reply(op::OK_STATS, b.build())
-        }
+        op::STATS => Dispatch::Reply(op::OK_STATS, encode_stats(&engine.stats_pairs())),
         op::EVICT => {
             let parsed = (|| {
                 let mut c = Cursor::new(payload);
@@ -743,29 +668,6 @@ fn dispatch(
 }
 
 fn parse_load(payload: &[u8]) -> Result<CscMatrix, String> {
-    let mut c = Cursor::new(payload);
-    let nrows = c.usize()?;
-    let ncols = c.usize()?;
-    let nnz = c.usize()?;
-    // The column-pointer array has ncols + 1 entries; the add is on
-    // attacker-controlled input, so it must be checked (a huge ncols used
-    // to panic in debug and wrap — skewing the sanity bound — in release).
-    let cols1 = ncols.checked_add(1).ok_or("ncols overflow")?;
-    // cheap sanity bound before the big allocations: the arrays must fit
-    // the frame we already read
-    let need = cols1
-        .checked_add(nnz.checked_mul(2).ok_or("nnz overflow")?)
-        .and_then(|w| w.checked_mul(8))
-        .ok_or("size overflow")?;
-    if need > payload.len() {
-        return Err(format!(
-            "LOAD arrays need {need} bytes but payload has {}",
-            payload.len()
-        ));
-    }
-    let colptr = c.usize_vec(cols1)?;
-    let rowidx = c.usize_vec(nnz)?;
-    let values = c.f64_vec(nnz)?;
-    c.finish()?;
+    let (nrows, ncols, colptr, rowidx, values) = decode_load(payload)?;
     CscMatrix::from_parts(nrows, ncols, colptr, rowidx, values).map_err(|e| e.to_string())
 }

@@ -62,6 +62,7 @@ use crate::cache::{FactorEntry, SolverLane};
 use crate::fault::{FaultAction, FaultPlan, FaultSite};
 use crate::fingerprint::Fingerprint;
 use crate::protocol::{Builder, Cursor};
+use crate::stats::bump;
 
 /// Leading magic of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"TSVF";
@@ -80,6 +81,7 @@ pub const SNAPSHOT_EXT: &str = "factor";
 const HEADER_LEN: usize = 6;
 const TRAILER_LEN: usize = 16;
 const MANIFEST: &str = "MANIFEST";
+const MANIFEST_TMP: &str = "MANIFEST.tmp";
 
 /// Persistence configuration (`trisolv serve --persist-dir`).
 #[derive(Debug, Clone)]
@@ -277,26 +279,27 @@ impl FactorStore {
             Ok(it) => it,
             Err(_) => return Vec::new(),
         };
+        // unlink a file the scan refuses, counted as a dropped snapshot
+        let refuse = |path: &Path| {
+            let _ = fs::remove_file(path);
+            bump(&self.dropped, 1);
+        };
         for dent in entries.flatten() {
             let path = dent.path();
             let name = dent.file_name();
             let name = name.to_string_lossy();
-            if name.ends_with(".tmp") {
-                // debris of a crash mid-protocol: the write never committed
+            if name == MANIFEST_TMP {
+                // a kill inside write_manifest left it; not a snapshot
                 let _ = fs::remove_file(&path);
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            match parse_snapshot_name(&name) {
-                Some(fp) => named.push((fp, path)),
-                None => {
-                    if name != MANIFEST && name.ends_with(&format!(".{SNAPSHOT_EXT}")) {
-                        // a .factor file not named by a fingerprint cannot
-                        // be trusted; treat as corrupt
-                        let _ = fs::remove_file(&path);
-                        self.dropped.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+            } else if name.ends_with(".tmp") {
+                // debris of a crash mid-protocol: the write never committed
+                refuse(&path);
+            } else if let Some(fp) = parse_snapshot_name(&name) {
+                named.push((fp, path));
+            } else if name.ends_with(&format!(".{SNAPSHOT_EXT}")) {
+                // a .factor file not named by a fingerprint cannot be
+                // trusted; treat as corrupt
+                refuse(&path);
             }
         }
         // manifest order first (oldest-first), unknown files after
@@ -306,24 +309,13 @@ impl FactorStore {
         let mut out = Vec::new();
         let mut ledger = lock(&self.ledger);
         for (fp, path) in named {
-            let bytes = match fs::read(&path) {
-                Ok(b) => b,
-                Err(_) => {
-                    let _ = fs::remove_file(&path);
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-            };
-            match decode_snapshot(&bytes, fp) {
-                Ok(rec) => {
-                    ledger.touch(fp, bytes.len() as u64);
-                    self.recovered.fetch_add(1, Ordering::Relaxed);
+            match fs::read(&path).map(|bytes| (decode_snapshot(&bytes, fp), bytes.len())) {
+                Ok((Ok(rec), len)) => {
+                    ledger.touch(fp, len as u64);
+                    bump(&self.recovered, 1);
                     out.push(rec);
                 }
-                Err(_reason) => {
-                    let _ = fs::remove_file(&path);
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
-                }
+                _ => refuse(&path),
             }
         }
         // budget: unlink oldest survivors until the directory fits
@@ -389,7 +381,7 @@ fn writer_save(
         // simply stays memory-only
         return;
     }
-    writes.fetch_add(1, Ordering::Relaxed);
+    bump(writes, 1);
     let mut g = lock(ledger);
     g.touch(entry.fingerprint, bytes.len() as u64);
     while g.total() > budget && g.entries.len() > 1 {
@@ -436,7 +428,7 @@ fn write_manifest(dir: &Path, entries: &[(Fingerprint, u64)]) {
     for (fp, bytes) in entries {
         text.push_str(&format!("{fp} {bytes}\n"));
     }
-    let tmp = dir.join("MANIFEST.tmp");
+    let tmp = dir.join(MANIFEST_TMP);
     if fs::write(&tmp, text).is_ok() {
         let _ = fs::rename(&tmp, dir.join(MANIFEST));
     }
@@ -663,4 +655,31 @@ pub fn section_boundaries(bytes: &[u8]) -> Vec<usize> {
     })();
     marks.push(bytes.len());
     marks
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::batch::{BatchLane, BatchOptions};
+    use trisolv_matrix::gen;
+
+    #[test]
+    fn manifest_temp_file_is_not_a_dropped_snapshot() {
+        let dir = std::env::temp_dir().join(format!("trisolv-store-mtmp-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let a = gen::grid2d_laplacian(5, 5);
+        let solver = SparseCholeskySolver::factor(&a).unwrap();
+        let fp = Fingerprint::of_matrix(&a);
+        let entry = FactorEntry::new(fp, a, solver, 1, BatchLane::new(BatchOptions::default()));
+        fs::write(snapshot_path(&dir, fp), encode_snapshot(&entry)).unwrap();
+        // what a kill between write_manifest's write and rename leaves
+        fs::write(dir.join(MANIFEST_TMP), format!("{fp} 1\n")).unwrap();
+        let store = FactorStore::open(StoreOptions::new(&dir), FaultPlan::none()).unwrap();
+        assert_eq!(store.recover().len(), 1);
+        assert_eq!((store.recovered_count(), store.dropped_count()), (1, 0));
+        assert!(!dir.join(MANIFEST_TMP).exists());
+        drop(store);
+        let _ = fs::remove_dir_all(&dir);
+    }
 }

@@ -455,3 +455,67 @@ fn in_process_engine_batches_concurrent_requests() {
     );
     assert!(s.max_batch >= 2);
 }
+
+/// `STATS` on the wire: the exact key order, and every value equal to the
+/// engine's own snapshot after a scripted mix of requests.
+#[test]
+fn stats_reply_pins_key_order_and_matches_the_engine_snapshot() {
+    let server = Server::spawn(server_opts(ExecMode::Seq, 4, 2)).unwrap();
+    let mut client = Client::connect(server.local_addr().to_string()).unwrap();
+    let a = gen::grid2d_laplacian(6, 6);
+    let fp = client.load(&a).unwrap().fingerprint;
+    let b = gen::random_rhs(36, 1, 3);
+    client.solve(fp, b.col(0)).unwrap();
+    assert!(client.solve(fp, &[1.0; 35]).is_err());
+    assert!(client.solve_certified(fp, b.col(0), 0).unwrap().certified);
+    assert!(client.evict(fp).unwrap());
+    let got = client.stats().unwrap();
+
+    let s = server.engine().stats();
+    let o = server.engine().options();
+    let c = s.cache;
+    let want = [
+        ("hits", c.hits),
+        ("misses", c.misses),
+        ("evictions", c.evictions),
+        ("entries", c.entries as u64),
+        ("resident_bytes", c.resident_bytes as u64),
+        ("cache_entries", c.entries as u64),
+        ("cache_bytes", c.resident_bytes as u64),
+        ("budget_bytes", o.budget_bytes as u64),
+        ("solves_ok", s.solves_ok),
+        ("solves_err", s.solves_err),
+        ("batches", s.batches),
+        ("batched_cols", s.batched_cols),
+        ("max_batch", s.max_batch as u64),
+        ("max_pending", o.max_pending as u64),
+        ("shed", s.shed),
+        ("deadline_misses", s.deadline_misses),
+        ("panics_caught", s.panics_caught),
+        ("exec_fallbacks", s.exec_fallbacks),
+        ("nonfinite_rejected", s.nonfinite_rejected),
+        ("breakdowns", s.breakdowns),
+        ("worker_respawns", s.worker_respawns),
+        ("faults_injected", s.faults_injected),
+        ("integrity_checks", s.integrity_checks),
+        ("self_heals", s.self_heals),
+        ("certified_solves", s.certified_solves),
+        ("connections_open", s.connections_open),
+        ("connections_total", s.connections_total),
+        ("frames_pipelined", s.frames_pipelined),
+        ("load_hits", s.load_hits),
+        ("persist_writes", s.persist_writes),
+        ("persist_recovered", s.persist_recovered),
+        ("persist_dropped", s.persist_dropped),
+        ("f32_solves", s.f32_solves),
+        ("precision_fallbacks", s.precision_fallbacks),
+        ("demoted_factors", s.demoted_factors),
+        ("crc_rejects", s.crc_rejects),
+    ];
+    let want: Vec<(String, u64)> = want.iter().map(|&(k, v)| (k.to_string(), v)).collect();
+    assert_eq!(got, want);
+    // the script moved the counters it should have
+    assert_eq!((s.solves_ok, s.solves_err, s.certified_solves), (2, 1, 1));
+    assert_eq!((c.hits, c.entries, s.connections_total), (3, 0, 1));
+    server.join();
+}
