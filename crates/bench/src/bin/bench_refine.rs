@@ -30,7 +30,7 @@
 //! Run: `cargo run --release -p trisolv-bench --bin bench_refine`
 
 use trisolv_bench::timing::{measure, Json};
-use trisolv_core::refine::{refine, refine_mixed};
+use trisolv_core::refine::refine;
 use trisolv_core::{RefineOptions, SparseCholeskySolver};
 use trisolv_factor::seqchol::FactorOptions;
 use trisolv_matrix::gen;
@@ -141,7 +141,7 @@ fn main() {
         // the f32 certified path with the server's fallback semantics:
         // stagnation refactors in f64 and refines there, inside the timer
         let certified32 = || {
-            let (x, report) = refine_mixed(&solver32, &a, &b, &ropts).expect("refine_mixed");
+            let (x, report) = refine(&solver32, &a, &b, &ropts).expect("refine");
             if report.certified {
                 (x, report, false)
             } else {
@@ -283,7 +283,7 @@ fn main() {
             (s, bytes)
         },
         |s, a, b| {
-            let (_, report) = refine_mixed(s, a, b, &ropts).expect("refine_mixed");
+            let (_, report) = refine(s, a, b, &ropts).expect("refine");
             if !report.certified {
                 let wide = SparseCholeskySolver::factor_opts(a, fopts).expect("refactor");
                 let (_, report) = refine(&wide, a, b, &ropts).expect("refine");

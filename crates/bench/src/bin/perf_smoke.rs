@@ -1,10 +1,12 @@
 //! CI perf gate: the subtree-mapped executor at one thread must stay
 //! within 10% of the sequential solver.
 //!
-//! The single-thread case is the executor's floor — one worker runs every
-//! subtree task and top supernode in postorder, so any gap versus
-//! `seq::forward_backward` is pure scheduling overhead (dep-counter
-//! atomics on the cut, arena staging). The gate is deliberately narrow:
+//! The single-thread case is the executor's floor. At one thread the
+//! executor runs the sequential solver's own shared forward and backward
+//! sweeps through its reusable workspace, so the gate measures that
+//! workspace wrapper against `seq::forward_backward` (which uses the
+//! plan-less reference forward and allocates fresh buffers); any gap is
+//! overhead the wrapper adds. The gate is deliberately narrow:
 //! one matrix (grid2d 64×64), two RHS widths, best-of-three measurement
 //! rounds so one noisy CI sample cannot fail the job. Bit-identity with
 //! the sequential answer is asserted before any timing.

@@ -48,6 +48,7 @@ pub mod plan;
 pub mod redistribute;
 pub mod refine;
 pub mod seq;
+mod sweep;
 pub mod threaded;
 pub mod tree;
 

@@ -24,10 +24,17 @@
 //! backward error is invariant under that symmetric scaling (the residual
 //! and the denominator both pick up the same row factor `D`), so the ω
 //! reported for the scaled system *is* the ω of the original one.
+//!
+//! [`refine`] is one loop for both storage lanes: the `f32` lane differs
+//! only in applying its first correction sweep unconditionally, chosen
+//! from the factor's scalar width. [`certified_solve_mixed`] runs it on a
+//! demoted factor and falls back to an `f64` refactorization when the
+//! narrow lane stagnates.
 
 use crate::estimate;
-use crate::seq::{SparseCholeskySolver, SparseCholeskySolverF32};
+use crate::seq::SparseCholeskySolver;
 use trisolv_factor::seqchol::FactorOptions;
+use trisolv_factor::{FScalar, FactorBlocks};
 use trisolv_matrix::{equilibrate_sym, validate_finite, CscMatrix, DenseMatrix, MatrixError};
 
 /// Stopping policy for the refinement loop.
@@ -109,17 +116,39 @@ pub fn componentwise_backward_error(
 /// `a` must be the matrix the solver was factored from — or, for a
 /// regularized factor, the *unperturbed* original: the residual test is
 /// what compensates for the recorded diagonal boosts.
-pub fn refine(
-    solver: &SparseCholeskySolver,
+///
+/// One loop for both storage lanes. Residuals are always formed in `f64`
+/// against `a`; only the `A⁻¹`-application runs in the factor's scalar.
+/// On a lane narrower than `f64` the first correction sweep is applied
+/// *unconditionally*: an `f32` direct solve carries ~`1e-7` relative error
+/// and never meets a `1e-10` componentwise target, so measuring ω before
+/// the first sweep only buys two wasted SpMVs. There `omega_history`
+/// starts at the ω *after* the first sweep and `iterations` counts that
+/// sweep (it is ≥ 1 on every call); on the `f64` lane
+/// `omega_history.len() == iterations + 1`.
+///
+/// A narrow-lane result with `report.certified == false` means the narrow
+/// factor cannot carry the refinement to the target (severe
+/// ill-conditioning: `κ(A)·ε_f32 ≳ 1`); callers fall back to an `f64`
+/// refactorization — see [`certified_solve_mixed`]. Never a panic, never
+/// a silent bad answer.
+pub fn refine<F: FactorBlocks>(
+    solver: &SparseCholeskySolver<F>,
     a: &CscMatrix,
     b: &DenseMatrix,
     opts: &RefineOptions,
 ) -> Result<(DenseMatrix, SolveReport), MatrixError> {
     validate_finite("rhs", b.as_slice())?;
     let mut x = solver.solve(b);
+    let mut iterations = 0usize;
+    if F::S::BYTES < f64::BYTES {
+        let r = a.residual_sym_lower(&x, b)?;
+        let dx = solver.solve(&r);
+        x.axpy(1.0, &dx).expect("same shape");
+        iterations = 1;
+    }
     let mut omega = componentwise_backward_error(a, &x, b)?;
     let mut history = vec![omega];
-    let mut iterations = 0usize;
     while omega > opts.target && iterations < opts.max_iters && omega.is_finite() {
         let r = a.residual_sym_lower(&x, b)?;
         let dx = solver.solve(&r);
@@ -129,70 +158,6 @@ pub fn refine(
         // NaN-safe "failed to improve" test: a NaN ω also ends the loop
         if on.partial_cmp(&omega) != Some(std::cmp::Ordering::Less) {
             // no progress: keep the previous (better) iterate
-            break;
-        }
-        x = xn;
-        let stagnated = on > 0.5 * omega;
-        omega = on;
-        history.push(omega);
-        iterations += 1;
-        if stagnated {
-            break;
-        }
-    }
-    let certified = omega <= opts.target;
-    Ok((
-        x,
-        SolveReport {
-            iterations,
-            backward_error: omega,
-            certified,
-            omega_history: history,
-            perturbations: solver.factor_matrix().perturbations().len(),
-            scaling_ratio: None,
-            condition_estimate: None,
-        },
-    ))
-}
-
-/// Iteratively refine against the original `f64` matrix using a **demoted
-/// `f32` factor** for every triangular solve — the mixed-precision hot
-/// path. Residuals are always formed in `f64` against `a`; only the
-/// `A⁻¹`-application runs in the narrow lane.
-///
-/// Unlike [`refine`], the first correction sweep is applied
-/// *unconditionally*: an `f32` direct solve carries ~`1e-7` relative
-/// error and never meets a `1e-10` componentwise target, so measuring ω
-/// before the first sweep only buys two wasted SpMVs. `omega_history`
-/// therefore starts at the ω *after* the first sweep and `iterations`
-/// counts that sweep (it is ≥ 1 on every call).
-///
-/// A result with `report.certified == false` means the narrow factor
-/// cannot carry the refinement to the target (severe ill-conditioning:
-/// `κ(A)·ε_f32 ≳ 1`); callers fall back to an `f64` refactorization — see
-/// [`certified_solve_mixed`]. Never a panic, never a silent bad answer.
-pub fn refine_mixed(
-    solver: &SparseCholeskySolverF32,
-    a: &CscMatrix,
-    b: &DenseMatrix,
-    opts: &RefineOptions,
-) -> Result<(DenseMatrix, SolveReport), MatrixError> {
-    validate_finite("rhs", b.as_slice())?;
-    let mut x = solver.solve(b);
-    let r = a.residual_sym_lower(&x, b)?;
-    let dx = solver.solve(&r);
-    x.axpy(1.0, &dx).expect("same shape");
-    let mut omega = componentwise_backward_error(a, &x, b)?;
-    let mut history = vec![omega];
-    let mut iterations = 1usize;
-    while omega > opts.target && iterations < opts.max_iters && omega.is_finite() {
-        let r = a.residual_sym_lower(&x, b)?;
-        let dx = solver.solve(&r);
-        let mut xn = x.clone();
-        xn.axpy(1.0, &dx).expect("same shape");
-        let on = componentwise_backward_error(a, &xn, b)?;
-        // NaN-safe "failed to improve" test: a NaN ω also ends the loop
-        if on.partial_cmp(&omega) != Some(std::cmp::Ordering::Less) {
             break;
         }
         x = xn;
@@ -319,8 +284,9 @@ pub struct MixedSolve {
 
 /// End-to-end **mixed-precision** certified solve of `A·X = B`: factor in
 /// `f64`, demote the factor to `f32` (halving the resident bytes the
-/// solve streams), then run [`refine_mixed`] — `f32` triangular solves,
-/// `f64` residuals — to the same componentwise certificate as
+/// solve streams), then run [`refine`] on the narrow lane — `f32`
+/// triangular solves, `f64` residuals — to the same componentwise
+/// certificate as
 /// [`certified_solve`]. If the narrow lane stagnates short of the target,
 /// the pipeline transparently refactors in `f64` and refines there
 /// (`fell_back = true`); the caller always gets either a certified answer
@@ -355,7 +321,7 @@ pub fn certified_solve_mixed(
         Some(s) => s.scale_rhs(b)?,
         None => b.clone(),
     };
-    let (xs, report32) = refine_mixed(&solver32, work_a, &work_b, &opts.refine)?;
+    let (xs, report32) = refine(&solver32, work_a, &work_b, &opts.refine)?;
     let (xs, mut report, fell_back) = if report32.certified {
         (xs, report32, false)
     } else {
@@ -507,13 +473,13 @@ mod tests {
             let solver32 = solver.demote();
             let x_true = gen::random_rhs(n, 2, 11);
             let b = a.spmv_sym_lower(&x_true).unwrap();
-            let (x, rep) = refine_mixed(&solver32, &a, &b, &RefineOptions::default()).unwrap();
+            let (x, rep) = refine(&solver32, &a, &b, &RefineOptions::default()).unwrap();
             assert!(rep.certified, "ω = {}", rep.backward_error);
             assert!(rep.backward_error <= 1e-10);
             assert!(rep.iterations >= 1, "first sweep is unconditional");
             assert!(x.max_abs_diff(&x_true).unwrap() < 1e-7);
             // deterministic: same inputs, same bits
-            let (x2, rep2) = refine_mixed(&solver32, &a, &b, &RefineOptions::default()).unwrap();
+            let (x2, rep2) = refine(&solver32, &a, &b, &RefineOptions::default()).unwrap();
             assert_eq!(x.as_slice(), x2.as_slice());
             assert_eq!(rep.omega_history, rep2.omega_history);
         }

@@ -20,6 +20,7 @@
 use std::fmt::Debug;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
+use trisolv_matrix::MatrixError;
 use trisolv_symbolic::SupernodePartition;
 
 /// Scalar type a factor can be stored and streamed in.
@@ -95,6 +96,22 @@ pub trait FactorBlocks: Sync {
     /// The flat column-major values of supernode `s`'s trapezoid
     /// (`height(s) * width(s)` entries, leading dimension `height(s)`).
     fn values(&self, s: usize) -> &[Self::S];
+
+    /// Diagonal boosts the (always `f64`) factorization applied, as
+    /// `(global column, perturbation)` pairs; empty for a plain factor.
+    fn perturbations(&self) -> &[(usize, f64)];
+
+    /// Reassemble from a partition plus flat persisted values — the
+    /// per-supernode trapezoids concatenated in supernode order, exactly
+    /// the layout [`Self::values`] exposes. Fails with `InvalidStructure`
+    /// on a value-count mismatch (stale or foreign snapshot).
+    fn from_flat_values(
+        part: SupernodePartition,
+        values: &[Self::S],
+        perturbations: Vec<(usize, f64)>,
+    ) -> Result<Self, MatrixError>
+    where
+        Self: Sized;
 
     /// Matrix order.
     fn n(&self) -> usize {

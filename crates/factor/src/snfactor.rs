@@ -158,6 +158,52 @@ impl FactorBlocks for SupernodalFactor {
     fn values(&self, s: usize) -> &[f64] {
         self.blocks[s].as_slice()
     }
+
+    fn perturbations(&self) -> &[(usize, f64)] {
+        &self.perturbations
+    }
+
+    fn from_flat_values(
+        part: SupernodePartition,
+        values: &[f64],
+        perturbations: Vec<(usize, f64)>,
+    ) -> Result<Self, MatrixError> {
+        let blocks = split_flat(&part, values)?
+            .into_iter()
+            .enumerate()
+            .map(|(s, v)| DenseMatrix::from_column_major(part.height(s), part.width(s), v.to_vec()))
+            .collect::<Result<_, _>>()?;
+        let mut factor = SupernodalFactor::new(part, blocks);
+        factor.set_perturbations(perturbations);
+        Ok(factor)
+    }
+}
+
+/// Cut flat persisted values into per-supernode trapezoids
+/// (`height(s)·width(s)` values each, supernode order), failing with
+/// `InvalidStructure` when the count does not match the partition.
+fn split_flat<'v, S>(
+    part: &SupernodePartition,
+    values: &'v [S],
+) -> Result<Vec<&'v [S]>, MatrixError> {
+    let total: usize = (0..part.nsup())
+        .map(|s| part.height(s) * part.width(s))
+        .sum();
+    if total != values.len() {
+        return Err(MatrixError::InvalidStructure(format!(
+            "persisted factor has {} values but the partition holds {}",
+            values.len(),
+            total
+        )));
+    }
+    let mut rest = values;
+    Ok((0..part.nsup())
+        .map(|s| {
+            let (head, tail) = rest.split_at(part.height(s) * part.width(s));
+            rest = tail;
+            head
+        })
+        .collect())
 }
 
 /// An `f32`-storage twin of [`SupernodalFactor`]: same partition, same
@@ -174,39 +220,6 @@ pub struct SupernodalFactorF32 {
 }
 
 impl SupernodalFactorF32 {
-    /// Reassemble from a partition plus the flat persisted values — the
-    /// per-supernode trapezoids concatenated in supernode order, exactly
-    /// the layout [`Self::values`] exposes. Fails with `InvalidStructure`
-    /// on a value-count mismatch (stale or foreign snapshot).
-    pub fn from_flat_values(
-        part: SupernodePartition,
-        values: &[f32],
-        perturbations: Vec<(usize, f64)>,
-    ) -> Result<Self, MatrixError> {
-        let total: usize = (0..part.nsup())
-            .map(|s| part.height(s) * part.width(s))
-            .sum();
-        if total != values.len() {
-            return Err(MatrixError::InvalidStructure(format!(
-                "persisted f32 factor has {} values but the partition holds {}",
-                values.len(),
-                total
-            )));
-        }
-        let mut off = 0usize;
-        let mut blocks = Vec::with_capacity(part.nsup());
-        for s in 0..part.nsup() {
-            let len = part.height(s) * part.width(s);
-            blocks.push(values[off..off + len].to_vec());
-            off += len;
-        }
-        Ok(SupernodalFactorF32 {
-            part,
-            blocks,
-            perturbations,
-        })
-    }
-
     /// The supernode partition.
     pub fn partition(&self) -> &SupernodePartition {
         &self.part
@@ -259,6 +272,26 @@ impl FactorBlocks for SupernodalFactorF32 {
 
     fn values(&self, s: usize) -> &[f32] {
         &self.blocks[s]
+    }
+
+    fn perturbations(&self) -> &[(usize, f64)] {
+        &self.perturbations
+    }
+
+    fn from_flat_values(
+        part: SupernodePartition,
+        values: &[f32],
+        perturbations: Vec<(usize, f64)>,
+    ) -> Result<Self, MatrixError> {
+        let blocks = split_flat(&part, values)?
+            .into_iter()
+            .map(<[f32]>::to_vec)
+            .collect();
+        Ok(SupernodalFactorF32 {
+            part,
+            blocks,
+            perturbations,
+        })
     }
 }
 

@@ -17,6 +17,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use trisolv_core::{
     SolvePlan, SolveWorkspace, SparseCholeskySolver, SparseCholeskySolverF32, SubtreeSchedule,
 };
+use trisolv_factor::FScalar;
 use trisolv_graph::Permutation;
 use trisolv_matrix::{CscMatrix, DenseMatrix};
 
@@ -214,8 +215,10 @@ pub struct FactorEntry {
     pub checksum: Fingerprint,
     /// Solves served by this entry (drives the verify cadence).
     solves: AtomicU64,
-    workspaces: Mutex<Vec<SolveWorkspace>>,
-    workspaces32: Mutex<Vec<SolveWorkspace<f32>>>,
+    /// Workspaces for the threaded executor on the `f64` lane.
+    pub(crate) workspaces: WorkspacePool<f64>,
+    /// Workspaces for the threaded executor on the `f32` lane.
+    pub(crate) workspaces32: WorkspacePool<f32>,
 }
 
 impl FactorEntry {
@@ -253,8 +256,8 @@ impl FactorEntry {
             bytes,
             checksum,
             solves: AtomicU64::new(0),
-            workspaces: Mutex::new(Vec::new()),
-            workspaces32: Mutex::new(Vec::new()),
+            workspaces: WorkspacePool::default(),
+            workspaces32: WorkspacePool::default(),
         }
     }
 
@@ -314,33 +317,24 @@ impl FactorEntry {
     pub fn plan(&self) -> &SolvePlan {
         self.solver.plan()
     }
+}
 
-    /// Take a pooled `f64` workspace (or make a fresh one sized for
-    /// `nrhs`). Workspaces auto-grow, so any pooled one fits any batch
-    /// width.
-    pub fn take_workspace(&self, nrhs: usize) -> SolveWorkspace {
-        let pooled = lock_cache(&self.workspaces).pop();
-        pooled.unwrap_or_else(|| SolveWorkspace::new(self.solver.plan(), nrhs))
+/// Idle solve workspaces of one storage lane, kept for reuse (up to
+/// `WORKSPACE_POOL_CAP`). Workspaces auto-grow, so any pooled one fits any
+/// batch width.
+#[derive(Default)]
+pub(crate) struct WorkspacePool<S: FScalar>(Mutex<Vec<SolveWorkspace<S>>>);
+
+impl<S: FScalar> WorkspacePool<S> {
+    /// Take a pooled workspace, or make a fresh one sized for `nrhs`.
+    pub(crate) fn take(&self, plan: &SolvePlan, nrhs: usize) -> SolveWorkspace<S> {
+        let pooled = lock_cache(&self.0).pop();
+        pooled.unwrap_or_else(|| SolveWorkspace::new(plan, nrhs))
     }
 
-    /// Return an `f64` workspace to the pool (dropped if the pool is full).
-    pub fn put_workspace(&self, ws: SolveWorkspace) {
-        let mut pool = lock_cache(&self.workspaces);
-        if pool.len() < WORKSPACE_POOL_CAP {
-            pool.push(ws);
-        }
-    }
-
-    /// Take a pooled `f32` workspace for the demoted lane's threaded
-    /// executor (or make a fresh one sized for `nrhs`).
-    pub fn take_workspace32(&self, nrhs: usize) -> SolveWorkspace<f32> {
-        let pooled = lock_cache(&self.workspaces32).pop();
-        pooled.unwrap_or_else(|| SolveWorkspace::new(self.solver.plan(), nrhs))
-    }
-
-    /// Return an `f32` workspace to the pool (dropped if the pool is full).
-    pub fn put_workspace32(&self, ws: SolveWorkspace<f32>) {
-        let mut pool = lock_cache(&self.workspaces32);
+    /// Return a workspace to the pool (dropped if the pool is full).
+    pub(crate) fn put(&self, ws: SolveWorkspace<S>) {
+        let mut pool = lock_cache(&self.0);
         if pool.len() < WORKSPACE_POOL_CAP {
             pool.push(ws);
         }

@@ -22,11 +22,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use trisolv_core::{SolveReport, SparseCholeskySolver, ThreadedSolver};
+use trisolv_core::{SolveReport, SparseCholeskySolver, SubtreeSchedule, ThreadedSolver};
+use trisolv_factor::FactorBlocks;
 use trisolv_matrix::{CscMatrix, DenseMatrix};
 
 use crate::batch::{BatchLane, BatchOptions, LaneError};
-use crate::cache::{CacheStats, FactorCache, FactorEntry, SolverLane};
+use crate::cache::{CacheStats, FactorCache, FactorEntry, SolverLane, WorkspacePool};
 use crate::fault::{FaultAction, FaultPlan, FaultSite};
 use crate::fingerprint::Fingerprint;
 use crate::frontend::FrontStats;
@@ -680,9 +681,7 @@ impl Engine {
                 let opts = trisolv_core::RefineOptions::default();
                 match &e.solver {
                     SolverLane::F64(s) => trisolv_core::refine::refine(s, &e.matrix, &b, &opts),
-                    SolverLane::F32(s) => {
-                        trisolv_core::refine::refine_mixed(s, &e.matrix, &b, &opts)
-                    }
+                    SolverLane::F32(s) => trisolv_core::refine::refine(s, &e.matrix, &b, &opts),
                 }
                 .map_err(|e| EngineError::Internal(format!("refinement failed: {e}")))
             })
@@ -848,28 +847,8 @@ impl Engine {
             }
         }
         let px = match &entry.solver {
-            SolverLane::F64(s) => {
-                let solver = ThreadedSolver::with_plan_schedule(
-                    s.factor_matrix(),
-                    s.plan(),
-                    &entry.schedule,
-                );
-                let mut ws = entry.take_workspace(k);
-                let px = solver.forward_backward_with(&pb, &mut ws);
-                entry.put_workspace(ws);
-                px
-            }
-            SolverLane::F32(s) => {
-                let solver = ThreadedSolver::with_plan_schedule(
-                    s.factor_matrix(),
-                    s.plan(),
-                    &entry.schedule,
-                );
-                let mut ws = entry.take_workspace32(k);
-                let px = solver.forward_backward_with(&pb, &mut ws);
-                entry.put_workspace32(ws);
-                px
-            }
+            SolverLane::F64(s) => solve_threaded(s, &entry.schedule, &entry.workspaces, &pb),
+            SolverLane::F32(s) => solve_threaded(s, &entry.schedule, &entry.workspaces32, &pb),
         };
         // Unpermute into fresh output columns.
         let mut out = vec![vec![0.0f64; n]; k];
@@ -923,6 +902,21 @@ impl Engine {
 /// Factor `a` in `f64`; a non-SPD matrix is a structured error.
 fn factor(a: &CscMatrix) -> Result<SparseCholeskySolver, EngineError> {
     SparseCholeskySolver::factor(a).map_err(|e| EngineError::NotSpd(e.to_string()))
+}
+
+/// One threaded forward + backward solve of the permuted block `pb` on
+/// either lane, through a workspace from that lane's pool.
+fn solve_threaded<F: FactorBlocks>(
+    s: &SparseCholeskySolver<F>,
+    schedule: &SubtreeSchedule,
+    pool: &WorkspacePool<F::S>,
+    pb: &DenseMatrix,
+) -> DenseMatrix {
+    let solver = ThreadedSolver::with_plan_schedule(s.factor_matrix(), s.plan(), schedule);
+    let mut ws = pool.take(s.plan(), pb.ncols());
+    let px = solver.forward_backward_with(pb, &mut ws);
+    pool.put(ws);
+    px
 }
 
 /// Best-effort human-readable panic payload.

@@ -55,7 +55,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use trisolv_core::{SparseCholeskySolver, SparseCholeskySolverF32};
-use trisolv_factor::seqchol::FactorOptions;
+use trisolv_factor::{seqchol::FactorOptions, SupernodalFactor};
 use trisolv_matrix::CscMatrix;
 
 use crate::cache::{FactorEntry, SolverLane};
@@ -559,31 +559,19 @@ pub fn decode_snapshot(bytes: &[u8], expect: Fingerprint) -> Result<RecoveredFac
             let fvals = c.f32_vec(nvals)?;
             let perts = read_perturbations(&mut c, n)?;
             c.finish()?;
-            let solver = SparseCholeskySolverF32::from_factor_values(&matrix, &fvals, perts)
-                .map_err(|e| e.to_string())?;
-            let digest = {
-                let f = solver.factor_matrix();
-                Fingerprint::of_value_slices_f32((0..f.nsup()).map(|s| f.values(s)))
-            };
-            if digest != checksum {
-                return Err("rebuilt factor does not match persisted checksum".to_string());
-            }
-            SolverLane::F32(solver)
+            SparseCholeskySolverF32::from_factor_values(&matrix, &fvals, perts)
+                .map(SolverLane::from)
         } else {
             let fvals = c.f64_vec(nvals)?;
             let perts = read_perturbations(&mut c, n)?;
             c.finish()?;
-            let solver = SparseCholeskySolver::from_factor_values(&matrix, &fvals, perts)
-                .map_err(|e| e.to_string())?;
-            let digest = {
-                let f = solver.factor_matrix();
-                Fingerprint::of_value_slices((0..f.nsup()).map(|s| f.block(s).as_slice()))
-            };
-            if digest != checksum {
-                return Err("rebuilt factor does not match persisted checksum".to_string());
-            }
-            SolverLane::F64(solver)
-        };
+            SparseCholeskySolver::<SupernodalFactor>::from_factor_values(&matrix, &fvals, perts)
+                .map(SolverLane::from)
+        }
+        .map_err(|e| e.to_string())?;
+        if solver.digest() != checksum {
+            return Err("rebuilt factor does not match persisted checksum".to_string());
+        }
         Ok(RecoveredFactor {
             fingerprint: fp,
             matrix,

@@ -93,13 +93,15 @@ fn threaded_solve_matches_sequential_random_spd() {
         let mut ws = solver.workspace(nrhs);
         let b = gen::random_rhs(n, nrhs, seed.wrapping_add(11));
         let y = solver.forward_with(&b, &mut ws);
-        assert!(
-            y.max_abs_diff(&seq::forward(&f, &b)).unwrap() < 1e-12,
+        assert_eq!(
+            y.as_slice(),
+            seq::forward(&f, &b).as_slice(),
             "forward case {case}: n={n} seed={seed} nrhs={nrhs}"
         );
         let x = solver.backward_with(&y, &mut ws);
-        assert!(
-            x.max_abs_diff(&seq::backward(&f, &y)).unwrap() < 1e-12,
+        assert_eq!(
+            x.as_slice(),
+            seq::backward(&f, &y).as_slice(),
             "backward case {case}: n={n} seed={seed} nrhs={nrhs}"
         );
     }
@@ -152,8 +154,9 @@ fn threaded_solve_matches_sequential_grids_and_forests() {
             let solver = ThreadedSolver::new(&f).unwrap();
             let mut ws = solver.workspace(nrhs);
             let got = solver.forward_backward_with(&b, &mut ws);
-            assert!(
-                got.max_abs_diff(&expect).unwrap() < 1e-12,
+            assert_eq!(
+                got.as_slice(),
+                expect.as_slice(),
                 "case {case} part {which}: seed={seed} nrhs={nrhs} relax={relax}"
             );
         }
